@@ -1,24 +1,37 @@
 """The simulated transport: moves bytes between hosts in virtual time.
 
 A :class:`Fabric` binds a topology to an interconnect technology inside a
-simulator.  :meth:`Fabric.transfer` is a *process body* (generator): the
-messaging layer delegates to it with ``yield from``.
+simulator.  :meth:`Fabric.transfer` and :meth:`Fabric.transfer_ex` are
+*process bodies* (generators): the messaging layer delegates to them
+with ``yield from``.
 
 Cost model for one ``n``-byte transfer along a ``h``-hop route::
 
     [circuit setup, first use of (src,dst) if circuit-switched]
     o_send                                  (sender CPU)
-    serialization: max(g, n * G)            (holding the route's links)
-    L + (h - 1) * hop_latency               (wire + switch traversal)
-    o_recv                                  (receiver CPU)
+    route choice + fault-plan check         (re-route / unreachable)
+    grants: sender NIC, then each link      (one FIFO round per resource)
+    serialization: max(g, n * G)            (holding NIC + route links)
+    release; in-flight / blackhole / random loss checks
+    L + (h - 1) * hop_latency + o_recv      (wire, switches, receiver CPU)
+
+Both methods run one operation: the steps above as a chain of callbacks
+on the events a generator body would have waited on, with the owner
+resuming once, when the transfer completes or fails.  Without a fault
+plan the checks are no-ops.
 
 Contention: while serializing, the transfer holds a capacity-1
 :class:`~repro.sim.resources.Resource` per link on its route plus the
 sender's NIC injection port.  Resources are acquired in canonical global
-order, which makes concurrent transfers deadlock-free at the price of a
-slightly pessimistic (circuit-like) contention estimate — an explicit,
-ablatable modelling choice (bench E13 runs it both ways via
-``contention=False``).
+order — the NIC, then the links in sorted order — one same-instant FIFO
+round each, which makes concurrent transfers deadlock-free at the price
+of a slightly pessimistic (circuit-like) contention estimate — an
+explicit, ablatable modelling choice (bench E13 runs it both ways via
+``contention=False``).  A free resource is granted as a *hop*: the next
+round runs in the FIFO slot a grant event would take, and consecutive
+same-instant hops share one engine event (see
+:meth:`repro.sim.Completion.hop`).  An owner interrupted or closed
+mid-transfer releases what it holds and withdraws a queued grant.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ from repro.network.topology import (
     canonical_link,
 )
 from repro.sim.engine import Simulator
+from repro.sim.event import Completion, Event
 from repro.sim.resources import Resource
 
 __all__ = [
@@ -204,6 +218,11 @@ class FabricFaultPlan:
         return self.drop_probability > 0 or self.corrupt_probability > 0
 
     @property
+    def has_outages(self) -> bool:
+        """True when any two-way link or node down window is scheduled."""
+        return bool(self._link_windows or self._node_windows)
+
+    @property
     def has_directed_faults(self) -> bool:
         """True when any one-way blackhole window is scheduled."""
         return bool(self._directed_windows)
@@ -295,7 +314,7 @@ class Fabric:
             self._nics[host] = resource
         return resource
 
-    # -- the transfer process ---------------------------------------------
+    # -- the transfer operation -------------------------------------------
 
     def transfer(self, src: int, dst: int,
                  nbytes: int) -> Generator[Any, Any, float]:
@@ -303,192 +322,48 @@ class Fabric:
 
         Use as ``yield from fabric.transfer(...)`` inside a process, or
         wrap with ``sim.process`` for a standalone transfer.  Returns the
-        completion time.
+        completion time.  Under a fault plan it raises exactly as
+        :meth:`transfer_ex` does; a corrupted delivery still returns.
         """
-        if self.fault_plan is not None:
-            outcome = yield from self.transfer_ex(src, dst, nbytes)
-            return outcome.end
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if not 0 <= src < self.topology.hosts:
-            raise IndexError(f"src {src} out of range")
-        if not 0 <= dst < self.topology.hosts:
-            raise IndexError(f"dst {dst} out of range")
-        start = self.sim.now
-        params = self.technology.loggp
-
-        with self.sim.obs.span("fabric.transfer", src=src, dst=dst,
-                               nbytes=nbytes):
-            if src == dst:
-                # Intra-host handoff: CPU overhead plus a memcpy.
-                yield self.sim.timeout(params.overhead
-                                       + nbytes / _LOCAL_COPY_BANDWIDTH)
-                self._finish(src, dst, nbytes, start, hops=0)
-                return self.sim.now
-
-            if (self.technology.is_circuit_switched
-                    and (src, dst) not in self._circuits):
-                # First use of this pair: optics must set up the circuit.
-                yield self.sim.timeout(self.technology.circuit_setup_seconds)
-                self._circuits.add((src, dst))
-
-            route = self._routes.route(src, dst)
-            hops = len(route)
-            serialization = max(params.gap, nbytes * params.gap_per_byte)
-            propagation = (params.latency
-                           + max(0, hops - 1) * self.technology.hop_latency)
-
-            # Sender-side CPU overhead.
-            yield self.sim.timeout(params.overhead)
-
-            if self.contention:
-                held = self._acquire_order(src, route)
-                for resource in held:
-                    yield resource.request()
-                yield self.sim.timeout(serialization)
-                for resource in held:
-                    resource.release()
-            else:
-                yield self.sim.timeout(serialization)
-
-            # Pipeline latency plus receiver overhead.
-            yield self.sim.timeout(propagation + params.overhead)
-            self._finish(src, dst, nbytes, start, hops)
-            return self.sim.now
+        return (yield from self._transfer(src, dst, nbytes, False))
 
     def transfer_ex(self, src: int, dst: int,
                     nbytes: int) -> Generator[Any, Any, "TransferOutcome"]:
-        """Fault-aware transfer process body.
+        """Process body: :meth:`transfer`, reporting a :class:`TransferOutcome`.
 
-        Same cost model as :meth:`transfer` but consults the fault plan:
-        re-routes around down elements (paying the degraded route's hop
-        cost), raises :class:`NetworkUnreachable` when no path survives,
-        raises :class:`TransferDropped` when the message is lost (an
-        element on the route went down mid-serialization, or the random
-        drop draw fired), and flags corruption in the returned
-        :class:`TransferOutcome` — the end-to-end check is the caller's
-        job, as on a real wire.
+        Consults the fault plan (if any): re-routes around down elements
+        (paying the degraded route's hop cost), raises
+        :class:`NetworkUnreachable` when no path survives, raises
+        :class:`TransferDropped` when the message is lost (an element on
+        the route went down mid-serialization, a one-way blackhole ate
+        it, or the random drop draw fired), and flags corruption in the
+        returned outcome — the end-to-end check is the caller's job, as
+        on a real wire.  Without a plan nothing is ever dropped and
+        ``corrupted`` is False.
         """
+        return (yield from self._transfer(src, dst, nbytes, True))
+
+    def _transfer(self, src: int, dst: int, nbytes: int,
+                  outcome: bool) -> Generator[Any, Any, Any]:
+        """The one transfer path: validate, then run a :class:`_Transfer`
+        inside the owner's span; an interrupt or close aborts it."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if not 0 <= src < self.topology.hosts:
             raise IndexError(f"src {src} out of range")
         if not 0 <= dst < self.topology.hosts:
             raise IndexError(f"dst {dst} out of range")
-        start = self.sim.now
-        params = self.technology.loggp
-        plan = self.fault_plan
-        obs = self.sim.obs
-
-        with obs.span("fabric.transfer", src=src, dst=dst, nbytes=nbytes):
-            if src == dst:
-                yield self.sim.timeout(params.overhead
-                                       + nbytes / _LOCAL_COPY_BANDWIDTH)
-                self._finish(src, dst, nbytes, start, hops=0)
-                return TransferOutcome(end=self.sim.now, hops=0,
-                                       corrupted=False, rerouted=False)
-
-            if (self.technology.is_circuit_switched
-                    and (src, dst) not in self._circuits):
-                yield self.sim.timeout(self.technology.circuit_setup_seconds)
-                self._circuits.add((src, dst))
-
-            # Sender-side CPU overhead, then pick the route against the
-            # fault state at injection time.
-            yield self.sim.timeout(params.overhead)
-            route = self._routes.route(src, dst)
-            rerouted = False
-            if plan is not None:
-                down_nodes = plan.down_nodes_at(self.sim.now)
-                down_links = plan.down_links_at(self.sim.now)
-                if down_nodes or down_links:
-                    if self._blocked(route, down_nodes, down_links):
-                        route = self._degraded_route(src, dst, down_nodes,
-                                                     down_links)
-                        if route is None:
-                            plan.unreachable += 1
-                            obs.instant("fabric.unreachable", src=src,
-                                        dst=dst)
-                            obs.metrics.counter("fabric.unreachable").inc()
-                            raise NetworkUnreachable(
-                                f"no route {src}->{dst} avoids "
-                                f"{len(down_nodes)} down node(s) and "
-                                f"{len(down_links)} down link(s)"
-                            )
-                        rerouted = True
-                        plan.reroutes += 1
-                        obs.instant("fabric.reroute", src=src, dst=dst)
-                        obs.metrics.counter("fabric.reroutes").inc()
-
-            hops = len(route)
-            serialization = max(params.gap, nbytes * params.gap_per_byte)
-            propagation = (params.latency
-                           + max(0, hops - 1) * self.technology.hop_latency)
-
-            depart = self.sim.now
-            if self.contention:
-                held = self._acquire_order(src, route)
-                for resource in held:
-                    yield resource.request()
-                yield self.sim.timeout(serialization)
-                for resource in held:
-                    resource.release()
-            else:
-                yield self.sim.timeout(serialization)
-
-            corrupted = False
-            if plan is not None:
-                links = set()
-                nodes = set()
-                for a, b in route:
-                    links.add(canonical_link(a, b))
-                    nodes.add(a)
-                    nodes.add(b)
-                if plan.route_hit_during(links, nodes, depart, self.sim.now):
-                    plan.drops += 1
-                    obs.instant("fabric.drop", src=src, dst=dst,
-                                cause="down_window")
-                    obs.metrics.counter("fabric.drops").inc()
-                    raise TransferDropped(
-                        f"transfer {src}->{dst} lost: route element went "
-                        f"down in flight at t<={self.sim.now:g}"
-                    )
-                if (plan.has_directed_faults
-                        and plan.directed_hit_during(route, depart,
-                                                     self.sim.now)):
-                    # Grey failure: the oriented hop eats the message.
-                    # Deliberately no reroute — nothing reported the
-                    # loss, so the routing layer has nothing to avoid.
-                    plan.drops += 1
-                    plan.blackholes += 1
-                    obs.instant("fabric.drop", src=src, dst=dst,
-                                cause="blackhole")
-                    obs.metrics.counter("fabric.drops").inc()
-                    raise TransferDropped(
-                        f"transfer {src}->{dst} lost: one-way blackhole "
-                        f"on the route at t<={self.sim.now:g}"
-                    )
-                if plan.has_random_faults:
-                    draw = plan.rng.random()
-                    if draw < plan.drop_probability:
-                        plan.drops += 1
-                        obs.instant("fabric.drop", src=src, dst=dst,
-                                    cause="random")
-                        obs.metrics.counter("fabric.drops").inc()
-                        raise TransferDropped(
-                            f"transfer {src}->{dst} randomly dropped"
-                        )
-                    if draw < (plan.drop_probability
-                               + plan.corrupt_probability):
-                        plan.corruptions += 1
-                        obs.instant("fabric.corrupt", src=src, dst=dst)
-                        obs.metrics.counter("fabric.corruptions").inc()
-                        corrupted = True
-
-            yield self.sim.timeout(propagation + params.overhead)
-            self._finish(src, dst, nbytes, start, hops)
-            return TransferOutcome(end=self.sim.now, hops=hops,
-                                   corrupted=corrupted, rerouted=rerouted)
+        with self.sim.obs.span("fabric.transfer", src=src, dst=dst,
+                               nbytes=nbytes):
+            op = _Transfer(self, src, dst, nbytes, outcome)
+            try:
+                value = yield op
+            except BaseException:  # repro: noqa[REP010] - abort, re-raise
+                op.abort()
+                raise
+            if op.error is not None:
+                raise op.error
+            return value
 
     @staticmethod
     def _blocked(route: List[Edge], down_nodes: FrozenSet[Node],
@@ -513,17 +388,16 @@ class Fabric:
     def _acquire_order(self, src: int, route: List[Edge]) -> List[Resource]:
         """NIC + link resources in a globally consistent order.
 
-        Ordering key: NICs sort before links, links sort by canonical edge.
-        Every transfer acquires in this order, so no cycle of waits can
-        form (classic total-order deadlock avoidance).
+        The sender's NIC first, then the route's links in sorted
+        edge order.  Every transfer acquires in this order, so
+        no cycle of waits can form (classic total-order deadlock
+        avoidance).
         """
-        resources: List[Tuple[Tuple, Resource]] = [
-            ((0, ("h", src)), self._nic(src))
-        ]
-        for edge in route:
-            resources.append(((1, edge), self._link(edge)))
-        resources.sort(key=lambda pair: pair[0])
-        return [resource for _key, resource in resources]
+        order = [self._nics.get(src) or self._nic(src)]
+        links = self._links
+        for edge in sorted(route):
+            order.append(links.get(edge) or self._link(edge))
+        return order
 
     def _finish(self, src: int, dst: int, nbytes: int, start: float,
                 hops: int) -> None:
@@ -553,3 +427,240 @@ class Fabric:
                 + max(params.gap, nbytes * params.gap_per_byte)
                 + params.latency
                 + max(0, hops - 1) * self.technology.hop_latency)
+
+
+class _Transfer(Completion):
+    """One transfer in flight: the cost model as a chain of callbacks.
+
+    Each callback runs on the event a generator body would wait on, in
+    the same order — circuit setup, overhead, route and fault check,
+    one FIFO round per NIC and link grant, serialization, release and
+    loss checks, propagation — and the owner, which yields the transfer
+    itself, resumes once, when it settles.
+    """
+
+    __slots__ = ("fabric", "src", "dst", "nbytes", "outcome",
+                 "start", "track", "route", "rerouted", "corrupted",
+                 "depart", "serialization", "held", "granted", "queued",
+                 "stopped", "error")
+
+    def __init__(self, fabric: Fabric, src: int, dst: int, nbytes: int,
+                 outcome: bool) -> None:
+        sim = fabric.sim
+        super().__init__(sim, "fabric.transfer")
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        #: Settle with a TransferOutcome (True) or the end time (False).
+        self.outcome = outcome
+        self.start = sim.now
+        #: The owner's span track: loss instants recorded from engine
+        #: callbacks must land where the owner's generator put them.
+        self.track = sim.obs.current_track
+        self.route: List[Edge] = []
+        self.rerouted = False
+        self.corrupted = False
+        self.depart = 0.0
+        self.serialization = 0.0
+        #: Acquisition order; ``granted`` of them claimed so far, the
+        #: last one possibly still ``queued`` behind another holder.
+        self.held: List[Resource] = []
+        self.granted = 0
+        self.queued: Optional[Event] = None
+        self.stopped = False
+        #: Why the transfer failed; the owner's generator raises it.
+        self.error: Optional[Exception] = None
+        technology = fabric.technology
+        params = technology.loggp
+        if src == dst:
+            # Intra-host handoff: CPU overhead plus a memcpy.
+            self.after(params.overhead + nbytes / _LOCAL_COPY_BANDWIDTH,
+                       self._arrived)
+        elif (technology.is_circuit_switched
+                and (src, dst) not in fabric._circuits):
+            # First use of this pair: optics must set up the circuit.
+            self.after(technology.circuit_setup_seconds, self._circuit_up)
+        else:
+            # Sender-side CPU overhead.
+            self.after(params.overhead, self._inject)
+
+    def _circuit_up(self, _event: Event) -> None:
+        if self.stopped:
+            return
+        fabric = self.fabric
+        fabric._circuits.add((self.src, self.dst))
+        self.after(fabric.technology.loggp.overhead, self._inject)
+
+    def _inject(self, _event: Event) -> None:
+        """Pick the route against the fault state at injection time."""
+        if self.stopped:
+            return
+        fabric = self.fabric
+        src, dst = self.src, self.dst
+        route = fabric._routes.route(src, dst)
+        plan = fabric.fault_plan
+        now = fabric.sim.now
+        if plan is not None and plan.has_outages:
+            down_nodes = plan.down_nodes_at(now)
+            down_links = plan.down_links_at(now)
+            if down_nodes or down_links:
+                if fabric._blocked(route, down_nodes, down_links):
+                    obs = fabric.sim.obs
+                    degraded = fabric._degraded_route(src, dst, down_nodes,
+                                                      down_links)
+                    if degraded is None:
+                        plan.unreachable += 1
+                        obs.instant("fabric.unreachable", track=self.track,
+                                    src=src, dst=dst)
+                        obs.metrics.counter("fabric.unreachable").inc()
+                        self._fail(NetworkUnreachable(
+                            f"no route {src}->{dst} avoids "
+                            f"{len(down_nodes)} down node(s) and "
+                            f"{len(down_links)} down link(s)"
+                        ))
+                        return
+                    route = degraded
+                    self.rerouted = True
+                    plan.reroutes += 1
+                    obs.instant("fabric.reroute", track=self.track,
+                                src=src, dst=dst)
+                    obs.metrics.counter("fabric.reroutes").inc()
+        self.route = route
+        self.depart = now
+        params = fabric.technology.loggp
+        self.serialization = max(params.gap, self.nbytes * params.gap_per_byte)
+        if fabric.contention:
+            self.held = fabric._acquire_order(src, route)
+            self._grant_round(_event)
+        else:
+            self.after(self.serialization, self._serialized)
+
+    def _grant_round(self, _event: Event) -> None:
+        """Claim the next resource at this instant.
+
+        A free one is held at once and the next round runs as a hop — in
+        the FIFO slot its grant event used to take; a busy one queues
+        behind its holder in the resource's FIFO.  After the last grant,
+        serialization starts.
+        """
+        if self.stopped:
+            return
+        self.queued = None
+        held = self.held
+        i = self.granted
+        if i == len(held):
+            self.after(self.serialization, self._serialized)
+            return
+        self.granted = i + 1
+        grant = held[i].claim()
+        if grant is None:
+            self.hop(self._grant_round)
+        else:
+            self.queued = grant
+            self.follow(grant, self._grant_round)
+
+    def _serialized(self, _event: Event) -> None:
+        """Release the route, then decide whether the message survived."""
+        if self.stopped:
+            return
+        for resource in self.held:
+            resource.release()
+        self.held = []
+        self.granted = 0
+        fabric = self.fabric
+        plan = fabric.fault_plan
+        if plan is not None:
+            reason = self._loss(plan, fabric.sim.now)
+            if reason is not None:
+                self._fail(TransferDropped(reason))
+                return
+        technology = fabric.technology
+        params = technology.loggp
+        propagation = (params.latency
+                       + max(0, len(self.route) - 1) * technology.hop_latency)
+        # Pipeline latency plus receiver overhead.
+        self.after(propagation + params.overhead, self._arrived)
+
+    def _loss(self, plan: FabricFaultPlan, now: float) -> Optional[str]:
+        """Apply the plan's in-flight checks; the drop reason, if any.
+
+        Order matters for bit-reproducibility: down windows, then
+        one-way blackholes, then the single random draw.
+        """
+        route = self.route
+        if plan.has_outages:
+            links = {canonical_link(a, b) for a, b in route}
+            nodes = {node for edge in route for node in edge}
+            if plan.route_hit_during(links, nodes, self.depart, now):
+                return self._drop(plan, "down_window", "lost: route element "
+                                  f"went down in flight at t<={now:g}")
+        if (plan.has_directed_faults
+                and plan.directed_hit_during(route, self.depart, now)):
+            # Grey failure: the oriented hop eats the message.
+            # Deliberately no reroute — nothing reported the loss, so
+            # the routing layer has nothing to avoid.
+            plan.blackholes += 1
+            return self._drop(plan, "blackhole", "lost: one-way blackhole "
+                              f"on the route at t<={now:g}")
+        if plan.has_random_faults:
+            draw = plan.rng.random()
+            if draw < plan.drop_probability:
+                return self._drop(plan, "random", "randomly dropped")
+            if draw < plan.drop_probability + plan.corrupt_probability:
+                plan.corruptions += 1
+                obs = self.fabric.sim.obs
+                obs.instant("fabric.corrupt", track=self.track,
+                            src=self.src, dst=self.dst)
+                obs.metrics.counter("fabric.corruptions").inc()
+                self.corrupted = True
+        return None
+
+    def _drop(self, plan: FabricFaultPlan, cause: str, reason: str) -> str:
+        plan.drops += 1
+        obs = self.fabric.sim.obs
+        obs.instant("fabric.drop", track=self.track, src=self.src,
+                    dst=self.dst, cause=cause)
+        obs.metrics.counter("fabric.drops").inc()
+        return f"transfer {self.src}->{self.dst} {reason}"
+
+    def _arrived(self, _event: Event) -> None:
+        if self.stopped:
+            return
+        fabric = self.fabric
+        hops = len(self.route)
+        fabric._finish(self.src, self.dst, self.nbytes, self.start, hops)
+        now = fabric.sim.now
+        if self.outcome:
+            self.settle(TransferOutcome(
+                end=now, hops=hops, corrupted=self.corrupted,
+                rerouted=self.rerouted))
+        else:
+            self.settle(now)
+
+    def _fail(self, error: Exception) -> None:
+        self.error = error
+        self.settle(None)
+
+    def abort(self) -> None:
+        """Stop: the owner was interrupted or closed mid-transfer.
+
+        Releases every slot claimed so far — including one a release
+        already handed over but whose grant is not yet delivered — and
+        withdraws a grant still queued behind another holder.  A no-op
+        once the transfer finished or failed.
+        """
+        if self.stopped:
+            return
+        self.stopped = True
+        held = self.held
+        granted = self.granted
+        queued = self.queued
+        if queued is not None and not queued.triggered:
+            held[granted - 1].cancel(queued)
+            granted -= 1
+        for resource in held[:granted]:
+            resource.release()
+        self.held = []
+        self.granted = 0
+        self.queued = None

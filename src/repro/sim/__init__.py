@@ -15,6 +15,9 @@ Public surface
     :meth:`~repro.sim.engine.Simulator.run`.
 :class:`Event`, :class:`Timeout`, :class:`Process`
     Awaitable primitives.
+:class:`Completion`
+    The one event an owner waits on while a library operation runs as
+    a chain of callbacks (the fabric's transfer path).
 :class:`AllOf`, :class:`AnyOf`
     Event combinators.
 :class:`Resource`, :class:`Store`
@@ -39,7 +42,14 @@ from repro.sim.detsan import (
     first_divergence,
 )
 from repro.sim.equeue import CalendarEventQueue, HeapEventQueue
-from repro.sim.event import AllOf, AnyOf, Event, EventStatus, Timeout
+from repro.sim.event import (
+    AllOf,
+    AnyOf,
+    Completion,
+    Event,
+    EventStatus,
+    Timeout,
+)
 from repro.sim.engine import Interrupt, Process, SimulationError, Simulator
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
@@ -50,6 +60,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CalendarEventQueue",
+    "Completion",
     "DetSanRecorder",
     "Divergence",
     "Event",

@@ -59,9 +59,11 @@ from repro.sim.event import (
     _POOL_MAX,
     _TIMEOUT_NAMES,
     _TIMEOUT_POOL,
+    Completion,
     Event,
     EventStatus,
     Timeout,
+    _HopBatch,
     _timeout_name,
 )
 from repro.sim.trace import NullTracer, Tracer
@@ -177,18 +179,26 @@ class Process(Event):
             # point (the caller's interrupt() already raced legitimately).
             return
         waiting = self._waiting_on
-        if (waiting is not None and waiting.triggered
-                and waiting._scheduled_at is not None
-                and waiting._scheduled_at <= self.sim.now):
+        # A completion stands for its operation's in-flight step: the tie
+        # is judged against that step, exactly as if the operation were a
+        # generator waiting on it.
+        due = (waiting._inflight if isinstance(waiting, Completion)
+               else waiting)
+        if (due is not None and due.triggered
+                and due._scheduled_at is not None
+                and due._scheduled_at <= self.sim.now):
             # The wakeup this process is waiting for is due at this very
             # instant: the process "finished first" in virtual time.  The
             # interrupt loses the tie — no-op, and let the queued wakeup
             # resume the process normally.
             return
         # Detach from whatever we were waiting on: when that event later
-        # fires, _resume must ignore it (we already moved on).
-        if self._waiting_on is not None:
-            self._abandoned.append(self._waiting_on)
+        # fires, _resume must ignore it (we already moved on).  An
+        # abandoned completion never fires — its operation is stopped by
+        # the owner's generator as the interrupt unwinds it.
+        if waiting is not None:
+            if not isinstance(waiting, Completion):
+                self._abandoned.append(waiting)
             self._waiting_on = None
         self._step(event)
 
@@ -321,6 +331,9 @@ class Simulator:
             self.obs.bind_clock(lambda: self._now)
         self._detsan = detsan
         self._event_count = 0
+        # The open hop batch (see Completion.hop): joinable while its
+        # sequence number is still ``_sequence``.
+        self._hops: Optional[_HopBatch] = None
         self._recompute_plain()
 
     def _recompute_plain(self) -> None:

@@ -48,7 +48,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Event", "EventStatus", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["Event", "EventStatus", "Timeout", "AllOf", "AnyOf", "Completion"]
 
 
 class EventStatus(enum.Enum):
@@ -289,6 +289,114 @@ class Timeout(Event):
         self._status = EventStatus.SUCCEEDED
         self._value = value
         sim._schedule_event(self, delay)
+
+
+class Completion(Event):
+    """The single event an owner waits on for a multi-step operation.
+
+    A library operation that would otherwise be a generator resuming its
+    owner at every step (a fabric transfer: overhead, one grant per
+    resource, serialization, propagation) instead runs as a chain of
+    callbacks on the very events the generator would have waited on,
+    and the owner yields this completion once.  :meth:`settle` delivers
+    the outcome *synchronously*, inside the callback of the step's
+    event, so the owner resumes, raises and draws at exactly the
+    ``(time, priority, seq)`` position the generator would have.
+
+    Steps go through :meth:`after`, :meth:`hop` and :meth:`follow`, which
+    record the operation's in-flight event.  ``Process.interrupt``'s tie
+    rule reads that event instead of the completion, so a same-instant
+    interrupt still loses to a due timeout or hop and still wins against
+    a queued resource grant.  An owner that abandons a completion never
+    keeps it as a stale wakeup: the operation is expected to stop itself
+    (the owner's generator aborts it on the way out).
+    """
+
+    __slots__ = ("_inflight",)
+
+    def __init__(self, sim: "Simulator", name: str = "") -> None:
+        super().__init__(sim, name)
+        self._inflight: Optional[Event] = None
+
+    def after(self, delay: float,
+              callback: Callable[[Event], None]) -> None:
+        """Next step: ``callback(timeout)`` when ``delay`` has elapsed."""
+        timeout = self.sim.timeout(delay)
+        timeout._callbacks = [callback]
+        self._inflight = timeout
+
+    def hop(self, callback: Callable[[Event], None]) -> None:
+        """Next step: ``callback(batch)`` at this instant, in the FIFO slot
+        a fresh zero-delay event would take.
+
+        Consecutive hops with no event scheduled between them share one
+        engine event (a *hop batch*): the open batch is joined while its
+        sequence number is still the simulator's counter, which is
+        exactly when a fresh event would have been delivered right after
+        the batch's last hop.  The rule reads only the sequence counter,
+        so both queue implementations coalesce identically.
+        """
+        sim = self.sim
+        batch = sim._hops
+        if batch is None or batch._seq != sim._sequence:
+            batch = _HopBatch(sim)
+        batch._calls.append(callback)
+        self._inflight = batch
+
+    def follow(self, event: Event,
+               callback: Callable[[Event], None]) -> None:
+        """Next step: ``callback(event)`` when ``event`` is delivered."""
+        event.add_callback(callback)
+        self._inflight = event
+
+    def settle(self, value: Any) -> None:
+        """Succeed with ``value`` and resume the waiters right now.
+
+        There is deliberately no failing twin: an operation that fails
+        settles normally and its owner's generator raises, so the owner
+        always resumes by ``send``.  (CPython 3.11's profiler loses its
+        call stack when an exception is thrown into a deep ``yield
+        from`` chain, which would corrupt per-layer time attribution.)
+        """
+        if self._status is not EventStatus.PENDING:
+            raise RuntimeError(f"{self!r} already triggered")
+        self._inflight = None
+        self._status = EventStatus.SUCCEEDED
+        self._value = value
+        callbacks = self._callbacks
+        self._callbacks = _DELIVERED
+        if callbacks is not None:
+            for callback in callbacks:
+                callback(self)
+
+
+class _HopBatch(Event):
+    """Internal: one zero-delay engine event carrying same-instant hops.
+
+    Runs its hops in join order; a hop that joins while the batch is
+    running (nothing was scheduled since) runs in the same delivery.
+    """
+
+    __slots__ = ("_calls",)
+
+    def __init__(self, sim: "Simulator") -> None:
+        super().__init__(sim, "hops")
+        self._calls: List[Callable[[Event], None]] = []
+        self._status = EventStatus.SUCCEEDED
+        self._callbacks = [self._run]
+        sim._schedule_event(self)
+        sim._hops = self
+
+    def _run(self, _event: Event) -> None:
+        calls = self._calls
+        i = 0
+        try:
+            while i < len(calls):
+                calls[i](self)
+                i += 1
+        finally:
+            if self.sim._hops is self:
+                self.sim._hops = None
 
 
 class _Condition(Event):

@@ -54,13 +54,40 @@ class Resource:
 
     def request(self) -> Event:
         """An event that succeeds when a slot is granted to the caller."""
-        grant = Event(self.sim, f"{self.name}.grant")
+        grant = self.claim()
+        if grant is None:
+            grant = Event(self.sim, f"{self.name}.grant")
+            grant.succeed(self)
+        return grant
+
+    def claim(self) -> Optional[Event]:
+        """Take a free slot now, or queue for one.
+
+        Returns ``None`` when a slot was free (it is now held, and no
+        event was scheduled for the grant), otherwise the queued grant:
+        the same FIFO waiter :meth:`request` would have queued, which
+        succeeds with the resource when a release hands it a slot.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            grant.succeed(self)
-        else:
-            self._waiters.append(grant)
+            return None
+        grant = Event(self.sim, f"{self.name}.grant")
+        self._waiters.append(grant)
         return grant
+
+    def cancel(self, grant: Event) -> bool:
+        """Withdraw a queued grant before a release hands it a slot.
+
+        Returns True if ``grant`` was still waiting (it is now removed);
+        False if it was already granted or never queued here.  A waiter
+        that abandons its request must cancel it, or the stale grant
+        would take a slot nobody releases.
+        """
+        try:
+            self._waiters.remove(grant)
+        except ValueError:
+            return False
+        return True
 
     def release(self) -> None:
         """Free one slot, handing it to the oldest waiter if any."""

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.network import Fabric, SingleSwitchTopology, TorusTopology, get_interconnect
-from repro.sim import Simulator
+from repro.network import (
+    Fabric,
+    FatTreeTopology,
+    SingleSwitchTopology,
+    TorusTopology,
+    get_interconnect,
+)
+from repro.sim import Interrupt, Simulator
 
 
 def build_fabric(hosts=4, technology="gigabit_ethernet", **kwargs):
@@ -193,3 +199,136 @@ class TestAccounting:
 
         sim.run_process(body())
         assert fabric.records == []
+
+
+class TestAbandonedTransfers:
+    """An interrupted or closed owner gives its NIC and links back."""
+
+    def test_interrupt_mid_serialization_releases_the_route(self):
+        sim, fabric = build_fabric()
+        ends = []
+
+        def big():
+            try:
+                yield from fabric.transfer(0, 1, 10_000_000)
+            except Interrupt:
+                pass
+
+        def small():
+            yield sim.timeout(1.0)
+            ends.append((yield from fabric.transfer(0, 2, 64)))
+
+        victim = sim.process(big())
+        sim.process(small())
+
+        def interrupter():
+            yield sim.timeout(0.010)  # 10 MB on GigE serializes for 80 ms
+            victim.interrupt()
+
+        sim.process(interrupter())
+        sim.run()
+        assert ends == [pytest.approx(1.0 + fabric.uncontended_time(0, 2,
+                                                                    64))]
+        nic = fabric._nic(0)
+        assert (nic.in_use, nic.queue_length) == (0, 0)
+
+    def test_interrupt_while_queued_withdraws_the_grant(self):
+        sim, fabric = build_fabric()
+        outcomes = []
+
+        def sender(name, nbytes):
+            try:
+                yield from fabric.transfer(0, 1, nbytes)
+                outcomes.append(name)
+            except Interrupt:
+                outcomes.append(f"{name}:interrupted")
+
+        sim.process(sender("first", 1_000_000))
+        queued = sim.process(sender("second", 64))
+
+        def interrupter():
+            yield sim.timeout(1e-3)
+            assert fabric._nic(0).queue_length == 1
+            queued.interrupt()
+
+        sim.process(interrupter())
+        sim.run()
+        assert outcomes == ["second:interrupted", "first"]
+        for resource in [*fabric._nics.values(), *fabric._links.values()]:
+            assert (resource.in_use, resource.queue_length) == (0, 0)
+
+    def test_quiesce_closing_an_owner_releases_the_route(self):
+        sim, fabric = build_fabric()
+
+        def sender():
+            yield from fabric.transfer(0, 1, 10_000_000)
+
+        sim.process(sender())
+        sim.run(until=0.010)
+        assert fabric._nic(0).in_use == 1
+        assert sim.quiesce() == 1
+        for resource in [*fabric._nics.values(), *fabric._links.values()]:
+            assert (resource.in_use, resource.queue_length) == (0, 0)
+
+
+class TestEventCounts:
+    """Hardware-independent cost of the transfer path, gated exactly."""
+
+    #: Four disjoint 4-hop routes on the fat tree below.
+    PAIRS = ((0, 5), (2, 7), (4, 1), (6, 3))
+
+    @staticmethod
+    def fat_tree():
+        sim = Simulator()
+        fabric = Fabric(sim, FatTreeTopology(8, hosts_per_leaf=2, spines=2),
+                        get_interconnect("infiniband_4x"))
+        return sim, fabric
+
+    def test_routes_are_disjoint_four_hop_paths(self):
+        _sim, fabric = self.fat_tree()
+        routes = [fabric.topology.route(*pair) for pair in self.PAIRS]
+        assert [len(route) for route in routes] == [4] * 4
+        edges = [edge for route in routes for edge in route]
+        assert len(set(edges)) == len(edges)
+
+    def test_uncontended_transfer_resumes_its_owner_once(self):
+        sim, fabric = self.fat_tree()
+        resumes = []
+
+        def counted(body):
+            value = None
+            while True:
+                try:
+                    target = body.send(value)
+                except StopIteration as stop:
+                    return stop.value
+                value = yield target
+                resumes.append(sim.now)
+
+        end = sim.run_process(counted(fabric.transfer(0, 5, 1500)))
+        assert resumes == [end]
+
+    def test_uncontended_four_hop_transfer_event_count(self):
+        # Process start, overhead, one batch carrying all five grant
+        # hops (NIC + 4 links), serialization, propagation, process end.
+        sim, fabric = self.fat_tree()
+
+        def body():
+            yield from fabric.transfer(0, 5, 1500)
+
+        sim.run_process(body())
+        assert sim.events_executed == 6
+
+    def test_same_instant_cohort_hops_coalesce(self):
+        # Per transfer: start, overhead, serialization, propagation,
+        # end — plus one hop batch for the whole cohort's 20 grants.
+        sim, fabric = self.fat_tree()
+
+        def body(src, dst):
+            yield from fabric.transfer(src, dst, 1500)
+
+        for src, dst in self.PAIRS:
+            sim.process(body(src, dst))
+        sim.run()
+        assert fabric.transfer_count == 4
+        assert sim.events_executed == 5 * 4 + 1

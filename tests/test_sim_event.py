@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, EventStatus, Simulator, Timeout
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    Completion,
+    Event,
+    EventStatus,
+    Interrupt,
+    Simulator,
+    Timeout,
+)
 from repro.sim.engine import SimulationError
 
 
@@ -206,3 +215,166 @@ class TestAnyOf:
             return result
 
         assert sim.run_process(body(sim)) == (0, "x")
+
+
+class TestCompletion:
+    """The owner-facing event of a callback-driven operation."""
+
+    @staticmethod
+    def waiter(sim, done, log):
+        value = yield done
+        log.append((sim.now, "value", value))
+
+    def test_settle_resumes_the_owner_inside_the_step(self, sim):
+        done = Completion(sim, "op")
+        log = []
+
+        def finish(event):
+            log.append((sim.now, "step"))
+            done.settle(7)
+            log.append((sim.now, "after-settle"))
+
+        sim.process(self.waiter(sim, done, log))
+        done.after(2.0, finish)
+        sim.run()
+        assert log == [(2.0, "step"), (2.0, "value", 7),
+                       (2.0, "after-settle")]
+        # Process start, the step's timeout, process end: no event for
+        # the completion itself.
+        assert sim.events_executed == 3
+
+    def test_settles_once(self, sim):
+        done = Completion(sim)
+        done.settle(1)
+        with pytest.raises(RuntimeError):
+            done.settle(2)
+
+    def test_follow_runs_on_the_event(self, sim):
+        done = Completion(sim)
+        gate = sim.event()
+        seen = []
+        done.follow(gate, lambda event: seen.append((sim.now, event.value)))
+        sim.run()
+        assert seen == []
+        gate.succeed("open")
+        sim.run()
+        assert seen == [(0.0, "open")]
+
+
+class TestHopBatches:
+    """Completion.hop: same-instant continuations, coalesced exactly."""
+
+    def test_consecutive_hops_share_one_event(self, sim):
+        order = []
+        ops = [Completion(sim) for _ in range(3)]
+        for k, op in enumerate(ops):
+            op.hop(lambda event, k=k: order.append(k))
+        sim.run()
+        assert order == [0, 1, 2]
+        assert sim.events_executed == 1
+
+    def test_a_hop_after_a_scheduled_event_takes_a_new_slot(self, sim):
+        order = []
+        Completion(sim).hop(lambda event: order.append("hop-a"))
+        sim.event().succeed().add_callback(
+            lambda event: order.append("event"))
+        Completion(sim).hop(lambda event: order.append("hop-b"))
+        sim.run()
+        # Exactly the order three fresh zero-delay events would take.
+        assert order == ["hop-a", "event", "hop-b"]
+        assert sim.events_executed == 3
+
+    def test_a_hop_joins_the_running_batch_when_nothing_intervened(
+            self, sim):
+        order = []
+        op = Completion(sim)
+
+        def first(event):
+            order.append("first")
+            op.hop(lambda event: order.append("second"))
+
+        op.hop(first)
+        Completion(sim).hop(lambda event: order.append("other"))
+        sim.run()
+        assert order == ["first", "other", "second"]
+        assert sim.events_executed == 1
+
+    def test_a_delivered_batch_is_never_rejoined(self, sim):
+        order = []
+        Completion(sim).hop(lambda event: order.append("early"))
+        sim.timeout(1.0)  # queued before the batch closes...
+        sim.run(until=0.5)
+        # ...so the counter still equals the closed batch's seq.
+        Completion(sim).hop(lambda event: order.append("late"))
+        sim.run()
+        assert order == ["early", "late"]
+
+    def test_wheel_and_heap_coalesce_identically(self):
+        counts = []
+        for queue in ("wheel", "heap"):
+            sim = Simulator(queue=queue)
+            order = []
+            for k in range(4):
+                Completion(sim).hop(lambda event, k=k: order.append(k))
+                if k == 1:
+                    sim.timeout(0.0)
+            sim.run()
+            counts.append((order, sim.events_executed))
+        assert counts[0] == counts[1] == ([0, 1, 2, 3], 3)
+
+
+class TestCompletionInterruptTies:
+    """``Process.interrupt`` judges a completion by its in-flight step."""
+
+    @staticmethod
+    def run_case(sim, arm, at, interrupter_first):
+        done = Completion(sim, "op")
+        log = []
+
+        def owner():
+            arm(done)
+            try:
+                value = yield done
+                log.append((sim.now, value))
+            except Interrupt:
+                log.append((sim.now, "interrupted"))
+
+        def interrupter():
+            yield sim.timeout(at)
+            victim.interrupt("cause")
+
+        if interrupter_first:
+            sim.process(interrupter())
+        victim = sim.process(owner())
+        if not interrupter_first:
+            sim.process(interrupter())
+        sim.run()
+        return victim, log
+
+    def test_same_instant_interrupt_loses_to_a_due_step(self, sim):
+        def arm(done):
+            done.after(1.0, lambda event: done.settle("done"))
+
+        # The interrupt is raised at 1.0 before the step is delivered.
+        _owner, log = self.run_case(sim, arm, 1.0, interrupter_first=True)
+        assert log == [(1.0, "done")]
+
+    def test_same_instant_interrupt_loses_to_a_due_hop(self, sim):
+        def arm(done):
+            done.after(1.0, lambda event: done.hop(
+                lambda event: done.settle("hopped")))
+
+        # The interrupt is raised at 1.0 after the step, before the hop.
+        _owner, log = self.run_case(sim, arm, 1.0, interrupter_first=False)
+        assert log == [(1.0, "hopped")]
+
+    def test_interrupt_wins_against_a_queued_step(self, sim):
+        gate = sim.event()
+
+        def arm(done):
+            done.follow(gate, lambda event: done.settle("granted"))
+
+        owner, log = self.run_case(sim, arm, 1.0, interrupter_first=True)
+        assert log == [(1.0, "interrupted")]
+        # The abandoned completion is not kept as a stale wakeup.
+        assert owner._abandoned == []

@@ -74,6 +74,39 @@ class TestResource:
         assert resource.in_use == 1
         assert resource.queue_length == 3
 
+    def test_claim_takes_a_free_slot_without_an_event(self, sim):
+        resource = Resource(sim, capacity=2)
+        assert resource.claim() is None
+        assert resource.claim() is None
+        assert resource.in_use == 2
+        sim.run()
+        assert sim.events_executed == 0
+
+    def test_claim_queues_a_fifo_grant_when_busy(self, sim):
+        resource = Resource(sim, capacity=1)
+        assert resource.claim() is None
+        first = resource.claim()
+        second = resource.claim()
+        assert resource.queue_length == 2
+        assert not first.triggered
+        resource.release()
+        assert first.triggered and first.value is resource
+        assert not second.triggered
+        assert resource.in_use == 1
+
+    def test_cancel_withdraws_a_queued_grant(self, sim):
+        resource = Resource(sim, capacity=1)
+        held = resource.request()
+        queued = resource.claim()
+        assert resource.cancel(queued) is True
+        assert resource.queue_length == 0
+        resource.release()
+        assert resource.in_use == 0
+        assert not queued.triggered
+        # Already granted, or never queued here: nothing to withdraw.
+        assert resource.cancel(held) is False
+        assert resource.cancel(queued) is False
+
 
 class TestStore:
     def test_put_then_get(self, sim):
