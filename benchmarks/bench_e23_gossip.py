@@ -25,9 +25,17 @@ fat tree and scores the trade head-to-head:
   *busiest single node* stays ~flat (O(1) per node per period).
 
 Writes ``BENCH_e23_gossip.json`` with every scenario's verdicts,
-MTTD, false-positive counts and per-node traffic accounting.
+MTTD, false-positive counts and per-node traffic accounting, plus two
+informational host figures per scenario, never gated: the number of
+full (generation 2) cyclic-GC collections the scenario triggered, and
+the process's peak resident set size while it ran.  On Linux the peak
+restarts with each scenario, but it never reads below the memory that
+earlier scenarios left resident, so only the first scenario and the
+ones that outgrow their predecessors measure themselves alone.
 """
 
+import gc
+import resource
 import time
 from pathlib import Path
 
@@ -76,10 +84,27 @@ def _isolate_host(topology, plan, start, end):
     plan.link_down_oneway(access[1], access[0], start, end)
 
 
+def _reset_peak_rss():
+    """Restart the process's resident-set high-water mark (Linux
+    ``clear_refs``); elsewhere ``peak_rss_mb`` stays process-wide."""
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        pass
+
+
+def _peak_rss_mb():
+    """Peak resident set size in MB (``ru_maxrss`` is KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def run_scenario(detector, nodes, *, crashes=(), crash_at=None,
                  partition=False, horizon=HORIZON, seed=23):
     """One campaign: build the fleet, optionally crash / partition,
     and score the detector."""
+    _reset_peak_rss()
+    full_collections = gc.get_stats()[2]["collections"]
     sim = Simulator()
     topology = FatTreeTopology(nodes)
     plan = None
@@ -115,6 +140,9 @@ def run_scenario(detector, nodes, *, crashes=(), crash_at=None,
         "messages_sent": monitor.heartbeats_sent,
         "messages_delivered": monitor.heartbeats_delivered,
         "messages_lost": monitor.heartbeats_lost,
+        "gc_full_collections": (gc.get_stats()[2]["collections"]
+                                - full_collections),
+        "peak_rss_mb": _peak_rss_mb(),
     }
     if detector == "gossip":
         stats = monitor.gossip_stats()

@@ -32,6 +32,15 @@ round runs in the FIFO slot a grant event would take, and consecutive
 same-instant hops share one engine event (see
 :meth:`repro.sim.Completion.hop`).  An owner interrupted or closed
 mid-transfer releases what it holds and withdraws a queued grant.
+
+Per-transfer state is sized by the topology, not by traffic history.
+Routes are not memoised: each injection asks ``topology.route``, which
+on the two-level fat tree indexes interned link tables, so a route
+shares its link tuples with every other route over those links and the
+``_links`` resource keys are those same objects.  A link or NIC
+resource allocates its waiter queue only when a transfer first queues
+on it.  The two pair-keyed sets left are ``_circuits`` (optical
+technologies only) and ``_degraded`` (only while an outage is active).
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ from repro.network.technologies import InterconnectTechnology
 from repro.network.topology import (
     Edge,
     Node,
-    RouteCache,
     Topology,
     canonical_link,
 )
@@ -288,7 +296,6 @@ class Fabric:
         self.record_transfers = record_transfers
         self.fault_plan = fault_plan
         self.records: List[TransferRecord] = []
-        self._routes = RouteCache(topology)
         self._degraded: Dict[Tuple[int, int, FrozenSet[Node],
                                    FrozenSet[Edge]],
                              Optional[List[Edge]]] = {}
@@ -420,9 +427,10 @@ class Fabric:
     def uncontended_time(self, src: int, dst: int, nbytes: int) -> float:
         """Closed-form transfer time on an idle fabric (no circuit setup)."""
         params = self.technology.loggp
+        # Route first: it rejects out-of-range ranks, self-pairs included.
+        hops = len(self.topology.route(src, dst))
         if src == dst:
             return params.overhead + nbytes / _LOCAL_COPY_BANDWIDTH
-        hops = len(self._routes.route(src, dst))
         return (2 * params.overhead
                 + max(params.gap, nbytes * params.gap_per_byte)
                 + params.latency
@@ -498,7 +506,7 @@ class _Transfer(Completion):
             return
         fabric = self.fabric
         src, dst = self.src, self.dst
-        route = fabric._routes.route(src, dst)
+        route = fabric.topology.route(src, dst)
         plan = fabric.fault_plan
         now = fabric.sim.now
         if plan is not None and plan.has_outages:

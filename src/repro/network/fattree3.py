@@ -84,6 +84,7 @@ class ThreeLevelFatTreeTopology(Topology):
 
     def route(self, src: int, dst: int) -> List[Edge]:
         """2/4/6 hops for same-edge, same-pod, and cross-pod pairs."""
+        self._check_pair(src, dst)
         if src == dst:
             return []
         a, b = self.host_node(src), self.host_node(dst)

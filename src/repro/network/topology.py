@@ -17,11 +17,19 @@ hosts; the fabric maps each direction of a physical link onto its own
 contention resource (links are full duplex, as real switched fabrics
 are).  Routing is deterministic — same (src, dst) always takes the same
 path — so simulated runs are reproducible.
+
+Routes are cheap enough to compute per transfer, so nothing memoises
+them.  :class:`SingleSwitchTopology` and :class:`FatTreeTopology` build
+each directed link tuple once, in the constructor, and ``route`` indexes
+those link tables: a route is a fresh list of shared link objects, and
+routing state is sized by the topology's links, never by the number of
+(src, dst) pairs that carried traffic.  A rank outside ``[0, hosts)``
+raises :class:`IndexError` from every ``route``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
@@ -31,7 +39,6 @@ __all__ = [
     "FatTreeTopology",
     "TorusTopology",
     "HypercubeTopology",
-    "RouteCache",
     "canonical_link",
 ]
 
@@ -68,10 +75,17 @@ class Topology:
             raise IndexError(f"host {rank} out of range [0, {self.hosts})")
         return ("h", rank)
 
+    def _check_pair(self, src: int, dst: int) -> None:
+        """Raise :meth:`host_node`'s IndexError unless both ranks are hosts."""
+        hosts = self.hosts
+        if not (0 <= src < hosts and 0 <= dst < hosts):
+            self.host_node(dst if 0 <= src < hosts else src)
+
     def route(self, src: int, dst: int) -> List[Edge]:
         """Ordered directed ``(from, to)`` steps from host ``src`` to ``dst``.
 
-        The trivial route from a host to itself is the empty list.
+        The trivial route from a host to itself is the empty list; a rank
+        out of range raises IndexError.
         """
         raise NotImplementedError
 
@@ -81,9 +95,9 @@ class Topology:
 
     def route_avoiding(
         self, src: int, dst: int,
-        down_nodes: "frozenset" = frozenset(),
-        down_links: "frozenset" = frozenset(),
-    ) -> "Optional[List[Edge]]":
+        down_nodes: FrozenSet[Node] = frozenset(),
+        down_links: FrozenSet[Edge] = frozenset(),
+    ) -> Optional[List[Edge]]:
         """Deterministic shortest route avoiding failed elements.
 
         ``down_nodes`` holds graph nodes (switches, hosts) that are out of
@@ -94,6 +108,7 @@ class Topology:
         Subclasses with structured routing override this with a cheaper
         scheme (e.g. the fat tree retries alternate spines).
         """
+        self._check_pair(src, dst)
         if src == dst:
             return []
         a, b = self.host_node(src), self.host_node(dst)
@@ -154,16 +169,21 @@ class SingleSwitchTopology(Topology):
         super().__init__(hosts)
         switch = ("s", 0)
         self.graph.add_node(switch)
+        #: Interned directed host links, indexed by rank.
+        self._host_up: List[Edge] = []
+        self._host_down: List[Edge] = []
         for rank in range(hosts):
-            self.graph.add_edge(self.host_node(rank), switch)
+            host = self.host_node(rank)
+            self.graph.add_edge(host, switch)
+            self._host_up.append(_directed(host, switch))
+            self._host_down.append(_directed(switch, host))
 
     def route(self, src: int, dst: int) -> List[Edge]:
         """Two directed hops through the crossbar (empty for self)."""
-        a, b = self.host_node(src), self.host_node(dst)
+        self._check_pair(src, dst)
         if src == dst:
             return []
-        switch = ("s", 0)
-        return [_directed(a, switch), _directed(switch, b)]
+        return [self._host_up[src], self._host_down[dst]]
 
     def diameter_hops(self) -> int:
         """Every pair is exactly two hops apart."""
@@ -190,7 +210,7 @@ class FatTreeTopology(Topology):
     """
 
     def __init__(self, hosts: int, hosts_per_leaf: int = 16,
-                 spines: int = None) -> None:  # type: ignore[assignment]
+                 spines: Optional[int] = None) -> None:
         super().__init__(hosts)
         if hosts_per_leaf < 1:
             raise ValueError("hosts_per_leaf must be >= 1")
@@ -199,48 +219,58 @@ class FatTreeTopology(Topology):
         self.num_spines = hosts_per_leaf if spines is None else spines
         if self.num_spines < 1:
             raise ValueError("need at least one spine")
-        for leaf in range(self.num_leaves):
-            leaf_node = ("s", leaf)
-            for spine in range(self.num_spines):
-                self.graph.add_edge(leaf_node,
-                                    ("s", self.num_leaves + spine))
+        # Interned directed links.  Host links are indexed by rank; the
+        # leaf <-> spine links by ``leaf * num_spines + spine``.
+        self._host_up: List[Edge] = []
+        self._host_down: List[Edge] = []
+        self._leaf_up: List[Edge] = []
+        self._spine_down: List[Edge] = []
+        leaves = [("s", leaf) for leaf in range(self.num_leaves)]
+        spine_nodes = [("s", self.num_leaves + spine)
+                       for spine in range(self.num_spines)]
+        for leaf_node in leaves:
+            for spine_node in spine_nodes:
+                self.graph.add_edge(leaf_node, spine_node)
+                self._leaf_up.append(_directed(leaf_node, spine_node))
+                self._spine_down.append(_directed(spine_node, leaf_node))
         for rank in range(hosts):
-            self.graph.add_edge(self.host_node(rank),
-                                ("s", rank // hosts_per_leaf))
+            host = self.host_node(rank)
+            leaf_node = leaves[rank // hosts_per_leaf]
+            self.graph.add_edge(host, leaf_node)
+            self._host_up.append(_directed(host, leaf_node))
+            self._host_down.append(_directed(leaf_node, host))
 
     @property
     def oversubscription(self) -> float:
         """Downlinks per uplink (1.0 == full bisection)."""
         return self.hosts_per_leaf / self.num_spines
 
-    def _leaf_of(self, rank: int) -> Node:
-        return ("s", rank // self.hosts_per_leaf)
-
-    def _spine_for(self, src: int, dst: int) -> Node:
+    def _spine_index(self, src: int, dst: int) -> int:
         # Deterministic spreading: same pair always picks the same spine.
-        index = (src * 1_000_003 + dst) % self.num_spines
-        return ("s", self.num_leaves + index)
+        return (src * 1_000_003 + dst) % self.num_spines
 
     def route(self, src: int, dst: int) -> List[Edge]:
         """2 hops intra-leaf, 4 hops through a (deterministic) spine."""
+        self._check_pair(src, dst)
         if src == dst:
             return []
-        a, b = self.host_node(src), self.host_node(dst)
-        leaf_a, leaf_b = self._leaf_of(src), self._leaf_of(dst)
+        leaf_a = src // self.hosts_per_leaf
+        leaf_b = dst // self.hosts_per_leaf
         if leaf_a == leaf_b:
-            return [_directed(a, leaf_a), _directed(leaf_a, b)]
-        spine = self._spine_for(src, dst)
+            return [self._host_up[src], self._host_down[dst]]
+        spine = self._spine_index(src, dst)
+        spines = self.num_spines
         return [
-            _directed(a, leaf_a),
-            _directed(leaf_a, spine),
-            _directed(spine, leaf_b),
-            _directed(leaf_b, b),
+            self._host_up[src],
+            self._leaf_up[leaf_a * spines + spine],
+            self._spine_down[leaf_b * spines + spine],
+            self._host_down[dst],
         ]
 
     def route_avoiding(
         self, src: int, dst: int,
-        down_nodes: "frozenset" = frozenset(),
-        down_links: "frozenset" = frozenset(),
+        down_nodes: FrozenSet[Node] = frozenset(),
+        down_links: FrozenSet[Edge] = frozenset(),
     ) -> Optional[List[Edge]]:
         """Degraded fat-tree routing: try alternate spines cyclically.
 
@@ -250,34 +280,34 @@ class FatTreeTopology(Topology):
         redundancy in a two-level Clos, so their failure partitions the
         affected hosts (returns ``None``).
         """
+        self._check_pair(src, dst)
         if src == dst:
             return []
-        a, b = self.host_node(src), self.host_node(dst)
+        up, down = self._host_up[src], self._host_down[dst]
+        (a, leaf_a), (leaf_b, b) = up, down
         if a in down_nodes or b in down_nodes:
             return None
-        leaf_a, leaf_b = self._leaf_of(src), self._leaf_of(dst)
         if leaf_a in down_nodes or leaf_b in down_nodes:
             return None
         if (canonical_link(a, leaf_a) in down_links
                 or canonical_link(leaf_b, b) in down_links):
             return None
         if leaf_a == leaf_b:
-            return [_directed(a, leaf_a), _directed(leaf_a, b)]
-        preferred = (src * 1_000_003 + dst) % self.num_spines
-        for offset in range(self.num_spines):
-            index = (preferred + offset) % self.num_spines
-            spine = ("s", self.num_leaves + index)
-            if spine in down_nodes:
+            return [up, down]
+        spines = self.num_spines
+        base_a = (src // self.hosts_per_leaf) * spines
+        base_b = (dst // self.hosts_per_leaf) * spines
+        preferred = self._spine_index(src, dst)
+        for offset in range(spines):
+            index = (preferred + offset) % spines
+            rise = self._leaf_up[base_a + index]
+            fall = self._spine_down[base_b + index]
+            if rise[1] in down_nodes:
                 continue
-            if (canonical_link(leaf_a, spine) in down_links
-                    or canonical_link(spine, leaf_b) in down_links):
+            if (canonical_link(*rise) in down_links
+                    or canonical_link(*fall) in down_links):
                 continue
-            return [
-                _directed(a, leaf_a),
-                _directed(leaf_a, spine),
-                _directed(spine, leaf_b),
-                _directed(leaf_b, b),
-            ]
+            return [up, rise, fall, down]
         return None
 
     def diameter_hops(self) -> int:
@@ -345,6 +375,7 @@ class TorusTopology(Topology):
 
     def route(self, src: int, dst: int) -> List[Edge]:
         """Dimension-ordered route with shortest wraparound direction."""
+        self._check_pair(src, dst)
         if src == dst:
             return []
         edges: List[Edge] = []
@@ -389,6 +420,7 @@ class HypercubeTopology(Topology):
 
     def route(self, src: int, dst: int) -> List[Edge]:
         """E-cube route: correct differing bits in ascending order."""
+        self._check_pair(src, dst)
         if src == dst:
             return []
         edges: List[Edge] = []
@@ -410,21 +442,3 @@ class HypercubeTopology(Topology):
         """Half the hosts: one dimension's worth of links crosses."""
         return self.hosts // 2
 
-
-#: Routing cache shared by fabrics: topologies are immutable after build.
-class RouteCache:
-    """Memoises ``topology.route`` — route computation dominates large
-    simulated collectives otherwise."""
-
-    def __init__(self, topology: Topology) -> None:
-        self.topology = topology
-        self._cache: Dict[Tuple[int, int], List[Edge]] = {}
-
-    def route(self, src: int, dst: int) -> List[Edge]:
-        """The topology's route for (src, dst), memoised."""
-        key = (src, dst)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.topology.route(src, dst)
-            self._cache[key] = hit
-        return hit

@@ -30,6 +30,9 @@ class Resource:
 
     The grant event's value is the resource itself, so a process can write
     ``yield resource.request()`` and then later ``resource.release()``.
+    The waiter queue is allocated on the first contended claim: a
+    simulated fabric holds one resource per link and NIC, and most of
+    them never queue anyone.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1,
@@ -40,7 +43,7 @@ class Resource:
         self.capacity = capacity
         self.name = name or "resource"
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Optional[Deque[Event]] = None
 
     @property
     def in_use(self) -> int:
@@ -50,7 +53,7 @@ class Resource:
     @property
     def queue_length(self) -> int:
         """Requests waiting for a slot."""
-        return len(self._waiters)
+        return len(self._waiters) if self._waiters else 0
 
     def request(self) -> Event:
         """An event that succeeds when a slot is granted to the caller."""
@@ -72,6 +75,8 @@ class Resource:
             self._in_use += 1
             return None
         grant = Event(self.sim, f"{self.name}.grant")
+        if self._waiters is None:
+            self._waiters = deque()
         self._waiters.append(grant)
         return grant
 
@@ -83,6 +88,8 @@ class Resource:
         that abandons its request must cancel it, or the stale grant
         would take a slot nobody releases.
         """
+        if self._waiters is None:
+            return False
         try:
             self._waiters.remove(grant)
         except ValueError:
@@ -101,7 +108,7 @@ class Resource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Resource {self.name} {self._in_use}/{self.capacity}"
-                f" q={len(self._waiters)}>")
+                f" q={self.queue_length}>")
 
 
 class Store:

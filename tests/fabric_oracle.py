@@ -56,7 +56,7 @@ class OracleFabric(Fabric):
                 yield self.sim.timeout(self.technology.circuit_setup_seconds)
                 self._circuits.add((src, dst))
 
-            route = self._routes.route(src, dst)
+            route = self.topology.route(src, dst)
             hops = len(route)
             serialization = max(params.gap, nbytes * params.gap_per_byte)
             propagation = (params.latency
@@ -101,7 +101,7 @@ class OracleFabric(Fabric):
                 self._circuits.add((src, dst))
 
             yield self.sim.timeout(params.overhead)
-            route = self._routes.route(src, dst)
+            route = self.topology.route(src, dst)
             rerouted = False
             if plan is not None:
                 down_nodes = plan.down_nodes_at(self.sim.now)

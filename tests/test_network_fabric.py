@@ -332,3 +332,94 @@ class TestEventCounts:
         sim.run()
         assert fabric.transfer_count == 4
         assert sim.events_executed == 5 * 4 + 1
+
+
+class TestStateSizedByTopology:
+    """Fabric state grows with the links traffic touched, never with the
+    number of distinct (src, dst) pairs that carried it."""
+
+    #: Pair-keyed containers allowed to grow: opt-in transfer records,
+    #: optical circuits, and degraded routes (only under outages).
+    EXEMPT = {"records", "_circuits", "_degraded"}
+    #: Collaborators the fabric shares rather than owns.
+    SHARED = {"sim", "topology", "technology", "fault_plan"}
+
+    @staticmethod
+    def fat_tree():
+        sim = Simulator()
+        fabric = Fabric(sim, FatTreeTopology(64, hosts_per_leaf=8, spines=4),
+                        get_interconnect("infiniband_4x"))
+        return sim, fabric
+
+    @staticmethod
+    def run_one_at_a_time(sim, fabric, pairs):
+        def body():
+            for src, dst in pairs:
+                yield from fabric.transfer(src, dst, 1500)
+                fabric.uncontended_time(src, dst, 1500)
+
+        sim.run_process(body())
+
+    @staticmethod
+    def lengths(obj):
+        """``len`` of every container attribute of ``obj``."""
+        return {name: len(value) for name, value in vars(obj).items()
+                if hasattr(value, "__len__")}
+
+    def sizes(self, fabric):
+        """``len`` of every container the fabric owns, one object deep."""
+        found = {}
+        for name, value in vars(fabric).items():
+            if name in self.EXEMPT or name in self.SHARED:
+                continue
+            if hasattr(value, "__len__"):
+                found[name] = len(value)
+            elif hasattr(value, "__dict__"):
+                for inner, size in self.lengths(value).items():
+                    found[f"{name}.{inner}"] = size
+        return found
+
+    def covering_pairs(self, topology):
+        """Pairs whose routes together cross every directed link."""
+        seen, pairs = set(), []
+        for src in range(topology.hosts):
+            for dst in range(topology.hosts):
+                route = topology.route(src, dst)
+                if not seen.issuperset(route):
+                    seen.update(route)
+                    pairs.append((src, dst))
+        assert len(seen) == 2 * topology.num_links
+        return pairs
+
+    def test_no_container_grows_with_distinct_pairs(self):
+        sim, fabric = self.fat_tree()
+        warm = self.covering_pairs(fabric.topology)
+        self.run_one_at_a_time(sim, fabric, warm)
+        before = self.sizes(fabric)
+        topology_before = self.lengths(fabric.topology)
+        seen = set(warm)
+        fresh = [(src, dst) for src in range(64) for dst in range(64)
+                 if (src, dst) not in seen]
+        assert len(fresh) > 3000
+        self.run_one_at_a_time(sim, fabric, fresh)
+        assert fabric.transfer_count == len(warm) + len(fresh)
+        assert self.sizes(fabric) == before
+        assert self.lengths(fabric.topology) == topology_before
+
+    def test_route_links_are_the_link_resource_keys(self):
+        sim, fabric = self.fat_tree()
+        pairs = [(0, 9), (0, 40), (40, 0), (9, 0), (3, 4), (63, 1)]
+        self.run_one_at_a_time(sim, fabric, pairs)
+        topology = fabric.topology
+        assert topology.route(0, 9)[0] is topology.route(0, 40)[0]
+        keys = {edge: edge for edge in fabric._links}
+        for src, dst in pairs:
+            for edge in topology.route(src, dst):
+                assert keys[edge] is edge
+
+    def test_uncontended_links_allocate_no_waiter_queue(self):
+        sim, fabric = self.fat_tree()
+        self.run_one_at_a_time(sim, fabric, [(0, 9), (9, 0), (5, 60)])
+        resources = [*fabric._nics.values(), *fabric._links.values()]
+        assert len(resources) == 3 + 4 * 3
+        assert all(resource._waiters is None for resource in resources)

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network import (
+    Fabric,
     FatTreeTopology,
     HypercubeTopology,
     SingleSwitchTopology,
+    ThreeLevelFatTreeTopology,
     TorusTopology,
+    get_interconnect,
 )
-from repro.network.topology import RouteCache
+from repro.sim import Simulator
 
 
 def assert_route_valid(topology, src, dst):
@@ -165,12 +168,86 @@ class TestHypercube:
             HypercubeTopology(0)
 
 
-class TestRouteCache:
-    def test_cache_returns_same_routes(self):
-        topology = FatTreeTopology(32, hosts_per_leaf=8)
-        cache = RouteCache(topology)
-        assert cache.route(1, 30) == topology.route(1, 30)
-        assert cache.route(1, 30) is cache.route(1, 30)  # memoised
+TOPOLOGIES = {
+    "single_switch": lambda: SingleSwitchTopology(8),
+    "fat_tree": lambda: FatTreeTopology(8, hosts_per_leaf=4),
+    "torus": lambda: TorusTopology((2, 4)),
+    "hypercube": lambda: HypercubeTopology(3),
+    "fat_tree_3level": lambda: ThreeLevelFatTreeTopology(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+class TestHostRange:
+    """Routing rejects a rank outside ``[0, hosts)`` the way
+    ``host_node`` does, including the self-route of a bogus rank."""
+
+    @staticmethod
+    def bad_pairs(hosts):
+        return [(hosts, hosts), (-1, -1), (0, hosts), (hosts, 0),
+                (0, -1), (-1, 0)]
+
+    def test_route_rejects_out_of_range(self, name):
+        topology = TOPOLOGIES[name]()
+        for src, dst in self.bad_pairs(topology.hosts):
+            with pytest.raises(IndexError, match="out of range"):
+                topology.route(src, dst)
+            with pytest.raises(IndexError, match="out of range"):
+                topology.hop_count(src, dst)
+
+    def test_route_avoiding_rejects_out_of_range(self, name):
+        topology = TOPOLOGIES[name]()
+        for src, dst in self.bad_pairs(topology.hosts):
+            with pytest.raises(IndexError, match="out of range"):
+                topology.route_avoiding(src, dst)
+
+    def test_uncontended_time_rejects_out_of_range(self, name):
+        topology = TOPOLOGIES[name]()
+        fabric = Fabric(Simulator(), topology,
+                        get_interconnect("infiniband_4x"))
+        for src, dst in self.bad_pairs(topology.hosts):
+            with pytest.raises(IndexError, match="out of range"):
+                fabric.uncontended_time(src, dst, 1500)
+
+    def test_in_range_self_route_is_empty(self, name):
+        topology = TOPOLOGIES[name]()
+        last = topology.hosts - 1
+        assert topology.route(last, last) == []
+        assert topology.route_avoiding(0, 0) == []
+
+
+class TestSharedLinks:
+    """The fat tree and the crossbar route over interned link tuples."""
+
+    def test_fat_tree_routes_share_link_objects(self):
+        topology = FatTreeTopology(64, hosts_per_leaf=8, spines=4)
+        assert topology.route(0, 9)[0] is topology.route(0, 40)[0]
+        assert topology.route(9, 0)[-1] is topology.route(40, 0)[-1]
+        assert topology.route(0, 9) is not topology.route(0, 9)
+        interned = {}
+        for src in range(64):
+            for dst in range(64):
+                for edge in topology.route(src, dst):
+                    assert interned.setdefault(edge, edge) is edge
+        # Every directed link appears, and no more objects than links.
+        assert len(interned) == 2 * topology.num_links
+
+    def test_fat_tree_degraded_routes_use_the_same_links(self):
+        topology = FatTreeTopology(32, hosts_per_leaf=8, spines=4)
+        normal = topology.route(0, 9)
+        spine = normal[1][1]
+        degraded = topology.route_avoiding(0, 9,
+                                           down_nodes=frozenset({spine}))
+        assert degraded[0] is normal[0] and degraded[-1] is normal[-1]
+        assert degraded[1][1] != spine
+        links = {edge: edge for s in range(32) for d in range(32)
+                 for edge in topology.route(s, d)}
+        assert all(links[edge] is edge for edge in degraded)
+
+    def test_single_switch_routes_share_link_objects(self):
+        topology = SingleSwitchTopology(6)
+        assert topology.route(2, 3)[0] is topology.route(2, 5)[0]
+        assert topology.route(1, 4)[1] is topology.route(3, 4)[1]
 
 
 class TestRoutingProperties:

@@ -107,6 +107,31 @@ class TestResource:
         assert resource.cancel(held) is False
         assert resource.cancel(queued) is False
 
+    def test_waiter_queue_allocated_on_first_contention(self, sim):
+        resource = Resource(sim, capacity=1)
+        other = Resource(sim, capacity=1)
+        assert other.claim() is None
+        stray = other.claim()  # a grant queued on another resource
+        assert resource.claim() is None
+        resource.release()
+        sim.run_process(self._hold(sim, resource))
+        # Never contended: no queue, and nothing to cancel.
+        assert resource._waiters is None
+        assert resource.queue_length == 0
+        assert resource.cancel(stray) is False
+        assert resource._waiters is None
+        resource.release()
+        assert resource.claim() is None
+        queued = resource.claim()
+        assert resource._waiters is not None
+        assert resource.queue_length == 1
+        assert resource.cancel(queued) is True
+
+    @staticmethod
+    def _hold(sim, resource):
+        yield resource.request()
+        yield sim.timeout(1.0)
+
 
 class TestStore:
     def test_put_then_get(self, sim):
