@@ -14,12 +14,8 @@ degrades gracefully where scratch-restart collapses.
 """
 
 from repro.analysis import ExperimentReport, Series, Table
-from repro.scheduler import (
-    FaultyBatchSimulator,
-    WorkloadGenerator,
-    WorkloadParams,
-    get_policy,
-)
+from repro.health import DegradedBatchSimulator
+from repro.scheduler import WorkloadGenerator, WorkloadParams, get_policy
 from repro.sim import RandomStreams
 
 NODES = 1024
@@ -36,7 +32,7 @@ def run_sweep():
     rows = {}
     for mtbf_years in MTBF_YEARS:
         for label, interval in (("scratch", None), ("hourly", 3600.0)):
-            simulator = FaultyBatchSimulator(
+            simulator = DegradedBatchSimulator(
                 NODES, get_policy("easy"),
                 node_mtbf_seconds=mtbf_years * YEAR,
                 repair_seconds=1800.0,

@@ -14,7 +14,7 @@ These are the capacity-planning questions behind the keynote's "resource
 management and fault recovery" software: a 10k-node machine with 3-year
 nodes and half-hour repairs is *always* missing a handful of nodes, and
 the scheduler must be built for that (see
-:class:`repro.scheduler.FaultyBatchSimulator`).
+:class:`repro.health.DegradedBatchSimulator`).
 """
 
 from __future__ import annotations

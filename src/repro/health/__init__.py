@@ -29,8 +29,9 @@ Pieces:
   central host.  :func:`build_monitor` picks the monitor the
   ``DetectionSpec.detector`` field asks for.
 * :mod:`repro.health.scheduling` — :class:`DegradedBatchSimulator`,
-  the batch scheduler that pays detection latency, activates spares,
-  and requeues killed jobs with backoff.
+  the library's one batch simulator under failures: it pays detection
+  latency, activates spares, and requeues killed jobs with backoff (at
+  zero detection lag it is the oracular model bench E15 sweeps).
 * :mod:`repro.health.spares` — :class:`SparePool`, the deterministic
   lowest-id-first reserve-capacity pool shared by the degraded
   scheduler and the detector-driven activation wrapper in

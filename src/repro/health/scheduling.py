@@ -1,18 +1,25 @@
-"""Degraded-mode batch scheduling: detection latency meets the queue.
+"""Batch scheduling under failures: detection latency meets the queue.
 
-:class:`~repro.scheduler.faults.FaultyBatchSimulator` is *oracular*: a
-failure kills its job the same instant it strikes.  Real clusters learn
-about failures from a detector, so between the strike and the
-declaration the job's nodes are **zombies** — occupied, billed, doing
-no useful work — and only at detection does the scheduler kill, requeue
-(after a backoff), dispatch repair, and activate a spare.
+The keynote's two system-software threads — resource management and
+fault recovery — are one problem in production: node failures kill
+running jobs, killed jobs re-enter the queue, and the machine runs
+degraded while nodes repair.  Real clusters learn about failures from a
+detector, so between the strike and the declaration the job's nodes
+are **zombies** — occupied, billed, doing no useful work — and only at
+detection does the scheduler kill, requeue (after a backoff), dispatch
+repair, and activate a spare.
 
-:class:`DegradedBatchSimulator` models exactly that pipeline on the
-aggregate batch model:
+:class:`DegradedBatchSimulator` is the library's one batch simulator
+under failures, and models exactly that pipeline on the aggregate
+batch model:
 
-* failures strike Poisson at rate ``capacity / node_mtbf`` and are
-  *detected* ``detection_seconds`` later (the knob a heartbeat detector
-  timeout sets; zero reproduces oracle behaviour);
+* failures strike Poisson at rate ``capacity / node_mtbf`` on a
+  uniformly random node, so a job's kill probability is proportional
+  to its width — wide jobs die more, as in real logs;
+* each strike is *detected* ``detection_seconds`` later (the knob a
+  heartbeat detector timeout sets);
+* killed jobs restart from scratch, or from their last checkpoint at a
+  fixed interval (the work since it is lost);
 * a **spare pool** of ``spare_nodes`` held outside the schedulable
   capacity: a detected failure activates a spare immediately (the slot
   returns to service at detection, not at repair), and the repaired
@@ -22,11 +29,21 @@ aggregate batch model:
 * :class:`DrainWindow` maintenance intervals administratively remove
   nodes from capacity, taking only from currently free nodes (unmet
   demand is counted, not forced);
-* the policy sees degraded capacity the way the oracle model shows
-  repairs: out-of-service and drained slots appear as width-1
-  pseudo-jobs with estimated release times, so backfill reservations
-  stay honest, while zombies look like ordinary running jobs (the
-  scheduler does not know yet — that is the point).
+* the policy sees degraded capacity as width-1 pseudo-jobs:
+  out-of-service and drained slots release at their estimated return
+  times, so backfill reservations stay honest, while zombies look like
+  ordinary running jobs (the scheduler does not know yet — that is the
+  point).
+
+With its defaults — zero detection lag, no spares, no backoff, no
+drains — a failure kills its job the instant it strikes: the oracular
+model bench E15 sweeps.  ``tests/batch_oracle.py`` keeps the historical
+oracular simulator, and the health-scheduling tests pin the two
+bit-equal on every raw result field.
+
+Outputs add *goodput* (node-seconds of work that counted toward a
+completion), *lost work* and *zombie time* to the usual metrics, so the
+benches can show what recovery software is worth in delivered machine.
 
 A per-node :class:`~repro.health.state.Membership` machine tracks a
 deterministic node-identity assignment (strikes and drains take the
@@ -75,7 +92,7 @@ class DrainWindow:
     nodes: int = 1
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
+        if not 0 <= self.start < self.end:  # NaN fails every comparison
             raise ValueError("need 0 <= start < end")
         if self.nodes < 1:
             raise ValueError("must drain at least one node")
@@ -162,7 +179,8 @@ class DegradedBatchSimulator:
     Parameters
     ----------
     total_nodes, policy:
-        Schedulable capacity and policy, as in the oracle simulators.
+        Schedulable capacity and policy, as in
+        :class:`~repro.scheduler.simulator.BatchSimulator`.
     node_mtbf_seconds:
         Per-node exponential MTBF; ``math.inf`` disables failures.
     detection_seconds:
@@ -178,8 +196,12 @@ class DegradedBatchSimulator:
         Delay between detection and the killed job re-entering the
         queue (zero requeues at the detection instant).
     checkpoint_interval:
-        As in the oracle simulator; progress is measured to the strike,
-        not to detection — zombie time is pure waste.
+        ``None`` restarts killed jobs from scratch; a positive value
+        restarts them from the last multiple of the interval.  Checkpoint
+        write overhead is assumed folded into the runtime (jobs of the
+        workload model are wall-clock observations).  Progress is
+        measured to the strike, not to detection — zombie time is pure
+        waste.
     drains:
         :class:`DrainWindow` maintenance schedule.
     """
@@ -196,18 +218,24 @@ class DegradedBatchSimulator:
                  obs: Optional[Observability] = None) -> None:
         if total_nodes < 1:
             raise ValueError("total_nodes must be >= 1")
-        if node_mtbf_seconds <= 0:
+        # Written as ``not (in range)`` so NaN, which fails every
+        # comparison, is rejected too.
+        if not node_mtbf_seconds > 0:
             raise ValueError("node MTBF must be positive")
-        if detection_seconds < 0:
-            raise ValueError("detection latency must be non-negative")
-        if repair_seconds < 0:
-            raise ValueError("repair time must be non-negative")
+        if not 0 <= detection_seconds < math.inf:
+            raise ValueError("detection latency must be finite and "
+                             "non-negative")
+        if not 0 <= repair_seconds < math.inf:
+            raise ValueError("repair time must be finite and non-negative")
         if spare_nodes < 0:
             raise ValueError("spare_nodes must be >= 0")
-        if requeue_backoff_seconds < 0:
-            raise ValueError("requeue backoff must be non-negative")
-        if checkpoint_interval is not None and checkpoint_interval <= 0:
-            raise ValueError("checkpoint interval must be positive")
+        if not 0 <= requeue_backoff_seconds < math.inf:
+            raise ValueError("requeue backoff must be finite and "
+                             "non-negative")
+        if (checkpoint_interval is not None
+                and not 0 < checkpoint_interval < math.inf):
+            raise ValueError("checkpoint interval must be finite and "
+                             "positive")
         self.total_nodes = total_nodes
         self.policy = policy
         self.node_mtbf = node_mtbf_seconds
@@ -311,7 +339,7 @@ class DegradedBatchSimulator:
             last_change = now
 
         def kill_progress(victim: _RunningJob, failed_at: float) -> None:
-            """Oracle-identical checkpoint math, clocked at the strike."""
+            """Checkpoint math, clocked at the strike, not detection."""
             elapsed = failed_at - victim.start_time
             durable = min(self._durable_progress(elapsed),
                           victim.remaining_runtime)
@@ -494,7 +522,8 @@ class DegradedBatchSimulator:
                     "repair configuration the workload cannot drain")
             handle(now, kind, job_id, extra)
             # Batch simultaneous events before scheduling, matching the
-            # oracle simulator's semantics.
+            # plain simulator's semantics (a completion and an arrival at
+            # one instant must both be visible to the policy).
             while events and events[0][0] == now:
                 _t, kind2, job_id2, extra2 = heapq.heappop(events)
                 handle(now, kind2, job_id2, extra2)

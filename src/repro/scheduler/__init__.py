@@ -28,13 +28,10 @@ from repro.scheduler.policies import (
 )
 from repro.scheduler.simulator import BatchSimulator, ScheduleResult
 from repro.scheduler.metrics import ScheduleMetrics, evaluate_schedule
-from repro.scheduler.faults import FaultyBatchSimulator, FaultyScheduleResult
 from repro.scheduler.swf import dump_swf, format_swf, load_swf, parse_swf
 
 __all__ = [
     "BatchSimulator",
-    "FaultyBatchSimulator",
-    "FaultyScheduleResult",
     "ConservativeBackfill",
     "EasyBackfill",
     "FcfsPolicy",

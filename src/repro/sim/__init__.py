@@ -53,7 +53,6 @@ from repro.sim.event import (
 from repro.sim.engine import Interrupt, Process, SimulationError, Simulator
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, RecordingTracer, TraceRecord
 
 __all__ = [
     "AbortCause",
@@ -70,14 +69,11 @@ __all__ = [
     "HeapEventQueue",
     "Interrupt",
     "LinkDownCause",
-    "NullTracer",
     "Process",
     "RandomStreams",
-    "RecordingTracer",
     "Resource",
     "SimulationError",
     "Simulator",
     "Store",
     "Timeout",
-    "TraceRecord",
 ]

@@ -15,8 +15,12 @@ oracle and perf baseline.  The tie-break contract — pop order is
 exactly ``(when, priority, seq)`` — is what the equivalence suite in
 ``tests/test_engine_queue_equivalence.py`` pins down across both.
 
-When nothing is watching (no tracer, no observability, no DetSan), the
-run loop drops into a *plain-mode* fast path that walks the calendar
+Two hooks watch individual deliveries: a
+:class:`~repro.sim.detsan.DetSanRecorder` folds every scheduling
+decision (and, with ``keep_records=True``, keeps the per-event log that
+tests assert on), and an enabled :class:`~repro.obs.Observability`
+attributes spans to the running process.  When neither is installed,
+the run loop drops into a *plain-mode* fast path that walks the calendar
 queue's batches inline and recycles fire-and-forget :class:`Timeout`
 objects through a free pool — same deliveries in the same order, with
 the per-event bookkeeping compiled down to a few dict/list operations.
@@ -66,7 +70,6 @@ from repro.sim.event import (
     _HopBatch,
     _timeout_name,
 )
-from repro.sim.trace import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; no runtime dependency
     from repro.sim.detsan import DetSanRecorder
@@ -278,9 +281,6 @@ class Simulator:
 
     Parameters
     ----------
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer`; defaults to the no-op
-        tracer so hot paths stay cheap.
     obs:
         Optional :class:`~repro.obs.Observability`; defaults to the
         shared null instance.  When given, the simulator binds its clock
@@ -299,8 +299,7 @@ class Simulator:
         differential-testing oracle and the perf baseline.
     """
 
-    def __init__(self, tracer: Optional[Tracer] = None,
-                 obs: Optional[Observability] = None,
+    def __init__(self, obs: Optional[Observability] = None,
                  detsan: Optional["DetSanRecorder"] = None,
                  queue: Optional[str] = None) -> None:
         kind = queue if queue is not None else DEFAULT_QUEUE
@@ -321,7 +320,6 @@ class Simulator:
         # allocation-dependent instant, and GeneratorExit closes its open
         # spans with GC-dependent timing — breaking trace byte-identity.
         self._live_processes: Dict[Process, None] = {}
-        self._tracer: Tracer = tracer if tracer is not None else NullTracer()
         self.obs: Observability = obs if obs is not None else NULL_OBS
         # Cached flag: hot paths branch on a plain attribute, never a
         # method call, so the disabled path stays within its overhead
@@ -334,14 +332,10 @@ class Simulator:
         # The open hop batch (see Completion.hop): joinable while its
         # sequence number is still ``_sequence``.
         self._hops: Optional[_HopBatch] = None
-        self._recompute_plain()
-
-    def _recompute_plain(self) -> None:
         # Plain mode: nothing observes individual deliveries, so run()
         # may use the inlined fast loop and recycle timeout objects.
         self._plain = (self._wheel
                        and self._detsan is None
-                       and type(self._tracer) is NullTracer
                        and not self._obs_enabled)
 
     # -- time ------------------------------------------------------------
@@ -365,18 +359,6 @@ class Simulator:
     def queue_kind(self) -> str:
         """Which queue implementation this simulator runs on."""
         return self._queue_kind
-
-    @property
-    def tracer(self) -> Tracer:
-        """The installed tracer (assignable; a real tracer disables the
-        plain-mode fast path so every delivery is recorded)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value: Tracer) -> None:
-        """Install a tracer, recomputing fast-path eligibility."""
-        self._tracer = value
-        self._recompute_plain()
 
     # -- factories -------------------------------------------------------
 
@@ -512,7 +494,6 @@ class Simulator:
             # Fold the scheduling decision *before* delivery so the
             # sanitizer stream captures decision order, not effects.
             self._detsan.fold(when, priority, seq, event)
-        self._tracer.record(when, event)
         event._deliver()
         if self._obs_enabled:
             # Delivery may have resumed a process (switching the span

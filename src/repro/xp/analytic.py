@@ -454,12 +454,8 @@ def e14_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
 def e15_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     """E15 point: EASY backfilling on a failing 1024-node machine at
     one node-MTBF, scratch restart vs hourly checkpoints."""
-    from repro.scheduler import (
-        FaultyBatchSimulator,
-        WorkloadGenerator,
-        WorkloadParams,
-        get_policy,
-    )
+    from repro.health import DegradedBatchSimulator
+    from repro.scheduler import WorkloadGenerator, WorkloadParams, get_policy
     from repro.sim.rng import RandomStreams
 
     nodes = 1024  # repro: noqa[REP003] machine size in nodes, not bytes
@@ -470,7 +466,7 @@ def e15_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     jobs = generator.generate(200)
     summary: Dict[str, Any] = {}
     for label, interval in (("scratch", None), ("hourly", 3600.0)):
-        result = FaultyBatchSimulator(
+        result = DegradedBatchSimulator(
             nodes, get_policy("easy"),
             node_mtbf_seconds=mtbf_seconds,
             repair_seconds=1800.0,
@@ -648,7 +644,7 @@ ANALYTIC_EXPERIMENTS: Tuple[ExperimentSpec, ...] = (
     _spec("e15_fault_aware_operation", e15_run,
           _points(*((f"mtbf{label}", {"mtbf_years": years})
                     for label, years in (("2y", 2.0), ("3m", 0.25)))),
-          ("repro/scheduler/__init__.py",),
+          ("repro/scheduler/__init__.py", "repro/health/scheduling.py"),
           "EASY backfilling on a failing machine, per node MTBF"),
     _spec("e16_history_validation", e16_run,
           _points(("nominal", {})),

@@ -25,7 +25,8 @@ from repro.apps import (
     run_summa,
 )
 from repro.fault import CheckpointParams, simulate_checkpoint_run
-from repro.scheduler import BatchSimulator, FaultyBatchSimulator, evaluate_schedule
+from repro.health import DegradedBatchSimulator
+from repro.scheduler import BatchSimulator, evaluate_schedule
 
 
 class TestVirtualTimeDeterminism:
@@ -148,7 +149,7 @@ class TestStochasticDeterminism:
                 WorkloadParams(max_nodes=32, offered_load=0.7),
                 RandomStreams(seed=7))
             jobs = generator.generate(150)
-            simulator = FaultyBatchSimulator(
+            simulator = DegradedBatchSimulator(
                 32, get_policy("easy"),
                 node_mtbf_seconds=0.05 * 365.25 * 86400,
                 checkpoint_interval=3600.0,

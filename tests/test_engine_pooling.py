@@ -11,7 +11,7 @@ and the pool capacity bound.
 
 import pytest
 
-from repro.sim import Interrupt, RecordingTracer, Simulator
+from repro.sim import DetSanRecorder, Interrupt, Simulator
 from repro.sim.event import _POOL_MAX, _TIMEOUT_POOL, Timeout
 
 
@@ -95,8 +95,9 @@ class TestRecycling:
         assert seen == [1.0] * 5
 
     def test_instrumented_mode_never_pools(self):
-        """Only the plain fast loop recycles: a traced run must not."""
-        sim = Simulator(tracer=RecordingTracer())
+        """Only the plain fast loop recycles: an instrumented run must
+        not."""
+        sim = Simulator(detsan=DetSanRecorder())
         for _ in range(20):
             sim.timeout(1.0)
         sim.run()

@@ -10,9 +10,9 @@ digests, same results.  This module pins that down at three levels:
   against both structures simultaneously, asserting entry-for-entry
   identical pop sequences;
 * **simulator level** — the same workload run on ``queue="heap"`` and
-  ``queue="wheel"`` produces byte-identical DetSan digests and trace
+  ``queue="wheel"`` produces byte-identical DetSan digests and event
   record streams, including under cancellation and interrupts;
-* **fast-path level** — the plain-mode run loop (no tracer/detsan)
+* **fast-path level** — the plain-mode run loop (no detsan/obs)
   delivers the same events in the same order as the instrumented loop,
   observed through workload-visible effects and counters.
 
@@ -30,7 +30,6 @@ from repro.sim import (
     DetSanRecorder,
     HeapEventQueue,
     Interrupt,
-    RecordingTracer,
     Resource,
     Simulator,
     Store,
@@ -366,11 +365,10 @@ class TestSimulatorLevelEquivalence:
     def test_trace_streams_identical_heap_vs_wheel(self):
         traces = {}
         for kind in ("heap", "wheel"):
-            tracer = RecordingTracer()
-            sim = Simulator(tracer=tracer, queue=kind)
+            recorder = DetSanRecorder(keep_records=True)
+            sim = Simulator(detsan=recorder, queue=kind)
             _mixed_workload(sim)
-            traces[kind] = [(r.time, r.kind, r.name, r.status)
-                            for r in tracer.records]
+            traces[kind] = [r.as_tuple() for r in recorder.records]
         assert traces["heap"] == traces["wheel"]
         assert len(traces["heap"]) > 50
 
@@ -390,12 +388,12 @@ class TestFastPathEquivalence:
     """Plain-mode loop vs instrumented loop, both on the wheel."""
 
     def test_fast_path_matches_instrumented_effects(self):
-        # Plain: wheel + no tracer/detsan/obs -> _run_fast.
+        # Plain: wheel + no detsan/obs -> _run_fast.
         plain = Simulator(queue="wheel")
         assert plain.queue_kind == "wheel"
         plain_log = _mixed_workload(plain)
-        # Instrumented: a recording tracer forces the general loop.
-        traced = Simulator(tracer=RecordingTracer(), queue="wheel")
+        # Instrumented: a DetSan recorder forces the general loop.
+        traced = Simulator(detsan=DetSanRecorder(), queue="wheel")
         traced_log = _mixed_workload(traced)
         assert plain_log == traced_log
         assert plain.events_executed == traced.events_executed

@@ -1,5 +1,6 @@
 """Degraded-mode batch scheduling: zombies, spares, drains, backoff."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,15 +10,16 @@ from repro.health import (
     DrainWindow,
 )
 from repro.scheduler import (
-    FaultyBatchSimulator,
     Job,
     WorkloadGenerator,
     WorkloadParams,
     get_policy,
 )
 from repro.sim import RandomStreams
+from tests.batch_oracle import OracleBatchSimulator
 
 YEAR = 365.25 * 86400.0
+NAN = float("nan")
 
 
 def workload(count=120, nodes=32, load=0.7, seed=3):
@@ -35,26 +37,62 @@ def degraded(jobs, **kwargs):
     return DegradedBatchSimulator(**base).run(jobs)
 
 
+def assert_matches_oracle(jobs, nodes, policy, mtbf, repair, interval,
+                          seed):
+    """Run the degraded simulator at its defaults (zero detection lag,
+    no spares, backoff or drains) beside the historical oracle and
+    require every raw result field to be equal, not approximately."""
+    oracle = OracleBatchSimulator(
+        nodes, get_policy(policy), node_mtbf_seconds=mtbf,
+        repair_seconds=repair, checkpoint_interval=interval,
+        streams=RandomStreams(seed)).run(jobs)
+    detected = DegradedBatchSimulator(
+        nodes, get_policy(policy), node_mtbf_seconds=mtbf,
+        repair_seconds=repair, checkpoint_interval=interval,
+        streams=RandomStreams(seed)).run(jobs)
+    assert oracle.job_kills > 0  # the point exercises the kill path
+    for field in dataclasses.fields(oracle):
+        assert (getattr(detected, field.name)
+                == getattr(oracle, field.name)), field.name
+    assert detected.zombie_node_seconds == 0.0
+    assert detected.requeues == detected.job_kills
+    assert detected.spare_activations == 0
+    assert detected.drain_shortfall == 0
+
+
+#: (nodes, policy, job count, offered load, workload seed, node MTBF,
+#: checkpoint interval, stream seed) per differential point: a 32-node
+#: matrix over every policy, both recovery modes and three seeds, plus
+#: the hostile end of bench E15's sweep.
+_MATRIX = [
+    pytest.param(32, policy, 120, 0.7, seed, 0.02 * YEAR, interval,
+                 seed, id=f"{policy}-{label}-s{seed}")
+    for policy in ("fcfs", "easy", "conservative", "sjf")
+    for label, interval in (("scratch", None), ("hourly", 3600.0))
+    for seed in (0, 1, 2)
+] + [
+    pytest.param(1024, "easy", 800, 0.8, 41, 0.25 * YEAR, 3600.0, 97,
+                 id="e15-easy-hourly-mtbf0.25y"),
+]
+
+
 class TestOracleEquivalence:
     def test_zero_detection_matches_oracle_simulator(self):
         """With instantaneous detection, no spares, and no drains, the
         degraded simulator replays the oracle's RNG stream and must
         reproduce its schedule exactly."""
-        jobs = workload()
-        oracle = FaultyBatchSimulator(
-            32, get_policy("easy"), node_mtbf_seconds=0.05 * YEAR,
-            repair_seconds=7200.0, checkpoint_interval=3600.0,
-            streams=RandomStreams(9)).run(jobs)
-        detected = degraded(jobs, detection_seconds=0.0,
-                            checkpoint_interval=3600.0)
-        assert detected.completions == oracle.completions
-        assert detected.failures == oracle.failures
-        assert detected.job_kills == oracle.job_kills
-        assert detected.goodput_node_seconds == pytest.approx(
-            oracle.goodput_node_seconds)
-        assert detected.lost_node_seconds == pytest.approx(
-            oracle.lost_node_seconds)
-        assert detected.zombie_node_seconds == 0.0
+        assert_matches_oracle(workload(), 32, "easy", 0.05 * YEAR,
+                              7200.0, 3600.0, 9)
+
+    @pytest.mark.parametrize(
+        "nodes, policy, count, load, workload_seed, mtbf, interval, seed",
+        _MATRIX)
+    def test_zero_detection_matrix(self, nodes, policy, count, load,
+                                   workload_seed, mtbf, interval, seed):
+        jobs = workload(count=count, nodes=nodes, load=load,
+                        seed=workload_seed)
+        assert_matches_oracle(jobs, nodes, policy, mtbf, 1800.0, interval,
+                              seed)
 
     def test_no_failures_clean_run(self):
         jobs = workload(count=80)
@@ -258,6 +296,34 @@ class TestValidation:
             DrainWindow(5.0, 5.0)
         with pytest.raises(ValueError):
             DrainWindow(0.0, 1.0, nodes=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"node_mtbf_seconds": NAN},
+        {"detection_seconds": NAN},
+        {"detection_seconds": math.inf},
+        {"repair_seconds": NAN},
+        {"repair_seconds": math.inf},
+        {"requeue_backoff_seconds": NAN},
+        {"requeue_backoff_seconds": math.inf},
+        {"checkpoint_interval": NAN},
+        {"checkpoint_interval": math.inf},
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_malformed_floats_rejected(self, kwargs):
+        """NaN fails every comparison, so a ``< 0`` guard lets it
+        through to a silently empty or misleadingly failing run; every
+        float parameter must reject it (and infinity, except for the
+        MTBF, where it means "no failures")."""
+        base = dict(total_nodes=4, policy=get_policy("fcfs"),
+                    node_mtbf_seconds=1e6)
+        base.update(kwargs)
+        with pytest.raises(ValueError):
+            DegradedBatchSimulator(**base)
+
+    @pytest.mark.parametrize("start, end", [(NAN, 5.0), (1.0, NAN),
+                                            (NAN, NAN)])
+    def test_drain_window_rejects_nan(self, start, end):
+        with pytest.raises(ValueError):
+            DrainWindow(start, end)
 
     def test_empty_workload_raises(self):
         with pytest.raises(ValueError):

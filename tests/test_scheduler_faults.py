@@ -1,11 +1,16 @@
-"""Fault-aware batch operation: failures, repairs, checkpoint restart."""
+"""Fault-aware batch operation: failures, repairs, checkpoint restart.
+
+These run :class:`~repro.health.DegradedBatchSimulator` with its
+defaults (zero detection lag, no spares, backoff or drains): the
+oracular model in which a failure kills its job the instant it strikes.
+"""
 
 import math
 
 import pytest
 
+from repro.health import DegradedBatchSimulator
 from repro.scheduler import (
-    FaultyBatchSimulator,
     Job,
     WorkloadGenerator,
     WorkloadParams,
@@ -31,8 +36,8 @@ class TestNoFailureEquivalence:
 
         jobs = workload()
         plain = BatchSimulator(64, get_policy("easy")).run(jobs)
-        faulty = FaultyBatchSimulator(64, get_policy("easy"),
-                                      math.inf).run(jobs)
+        faulty = DegradedBatchSimulator(64, get_policy("easy"),
+                                        math.inf).run(jobs)
         assert faulty.failures == 0
         assert faulty.job_kills == 0
         assert faulty.lost_node_seconds == 0.0
@@ -47,7 +52,7 @@ class TestNoFailureEquivalence:
 
 class TestFailureSemantics:
     def test_all_jobs_still_finish(self):
-        result = FaultyBatchSimulator(
+        result = DegradedBatchSimulator(
             64, get_policy("easy"), node_mtbf_seconds=0.02 * YEAR,
             streams=RandomStreams(5)).run(workload())
         assert len(result.completions) == 200
@@ -60,7 +65,7 @@ class TestFailureSemantics:
         jobs = workload(count=150)
         total_work = sum(job.node_seconds for job in jobs)
         for ckpt in (None, 1800.0):
-            result = FaultyBatchSimulator(
+            result = DegradedBatchSimulator(
                 64, get_policy("easy"), node_mtbf_seconds=0.1 * YEAR,
                 checkpoint_interval=ckpt,
                 streams=RandomStreams(8)).run(jobs)
@@ -69,9 +74,9 @@ class TestFailureSemantics:
 
     def test_failures_extend_responses(self):
         jobs = workload(count=150)
-        clean = FaultyBatchSimulator(64, get_policy("easy"),
-                                     math.inf).run(jobs)
-        faulty = FaultyBatchSimulator(
+        clean = DegradedBatchSimulator(64, get_policy("easy"),
+                                       math.inf).run(jobs)
+        faulty = DegradedBatchSimulator(
             64, get_policy("easy"), node_mtbf_seconds=0.05 * YEAR,
             streams=RandomStreams(4)).run(jobs)
         assert faulty.job_kills > 0
@@ -81,7 +86,7 @@ class TestFailureSemantics:
         jobs = workload(count=200)
         outcomes = {}
         for label, ckpt in (("none", None), ("hourly", 3600.0)):
-            outcomes[label] = FaultyBatchSimulator(
+            outcomes[label] = DegradedBatchSimulator(
                 64, get_policy("easy"), node_mtbf_seconds=0.02 * YEAR,
                 checkpoint_interval=ckpt,
                 streams=RandomStreams(11)).run(jobs)
@@ -94,7 +99,7 @@ class TestFailureSemantics:
         jobs = workload(count=150)
 
         def waste(mtbf):
-            return FaultyBatchSimulator(
+            return DegradedBatchSimulator(
                 64, get_policy("easy"), node_mtbf_seconds=mtbf,
                 streams=RandomStreams(13)).run(jobs).waste_fraction
 
@@ -106,7 +111,7 @@ class TestFailureSemantics:
         jobs = [Job(0, 0.0, nodes=60, runtime=50_000.0, estimate=60_000.0)]
         jobs += [Job(i, 0.0, nodes=1, runtime=50_000.0, estimate=60_000.0)
                  for i in range(1, 5)]
-        result = FaultyBatchSimulator(
+        result = DegradedBatchSimulator(
             64, get_policy("fcfs"), node_mtbf_seconds=30_000.0 * 64,
             checkpoint_interval=10_000.0,
             streams=RandomStreams(17)).run(jobs)
@@ -117,7 +122,7 @@ class TestFailureSemantics:
         """A machine whose MTBF is far below the only job's runtime can
         never finish without checkpointing — the guard must fire."""
         job = Job(0, 0.0, nodes=4, runtime=1e6, estimate=1e6)
-        simulator = FaultyBatchSimulator(
+        simulator = DegradedBatchSimulator(
             4, get_policy("fcfs"), node_mtbf_seconds=4e4,  # sys MTBF 1e4
             repair_seconds=10.0, streams=RandomStreams(23))
         with pytest.raises(RuntimeError, match="guard|drain"):
@@ -127,7 +132,7 @@ class TestFailureSemantics:
         """The same hopeless job finishes once checkpoint restart keeps
         its durable progress."""
         job = Job(0, 0.0, nodes=4, runtime=1e6, estimate=1e6)
-        result = FaultyBatchSimulator(
+        result = DegradedBatchSimulator(
             4, get_policy("fcfs"), node_mtbf_seconds=4e4,
             repair_seconds=10.0, checkpoint_interval=2000.0,
             streams=RandomStreams(23)).run([job])
@@ -136,14 +141,14 @@ class TestFailureSemantics:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultyBatchSimulator(0, get_policy("fcfs"), 1e6)
+            DegradedBatchSimulator(0, get_policy("fcfs"), 1e6)
         with pytest.raises(ValueError):
-            FaultyBatchSimulator(4, get_policy("fcfs"), 0.0)
+            DegradedBatchSimulator(4, get_policy("fcfs"), 0.0)
         with pytest.raises(ValueError):
-            FaultyBatchSimulator(4, get_policy("fcfs"), 1e6,
-                                 checkpoint_interval=0.0)
+            DegradedBatchSimulator(4, get_policy("fcfs"), 1e6,
+                                   checkpoint_interval=0.0)
         with pytest.raises(ValueError):
-            FaultyBatchSimulator(4, get_policy("fcfs"), 1e6).run([])
+            DegradedBatchSimulator(4, get_policy("fcfs"), 1e6).run([])
 
 
 class TestEdgeCases:
@@ -166,7 +171,7 @@ class TestEdgeCases:
         assert second > first + 102.0  # only the first strike matters
         # Submit mid-repair: the machine is idle at the strike.
         job = Job(0, first + 0.5, nodes=4, runtime=100.0, estimate=100.0)
-        result = FaultyBatchSimulator(
+        result = DegradedBatchSimulator(
             total, get_policy("fcfs"), node_mtbf_seconds=mtbf,
             repair_seconds=1.0, streams=RandomStreams(0)).run([job])
         assert result.failures == 1
@@ -188,7 +193,7 @@ class TestEdgeCases:
         assert second > completion + 100.0
         jobs = [Job(0, submit, nodes=1, runtime=50.0, estimate=50.0),
                 Job(1, completion, nodes=2, runtime=30.0, estimate=30.0)]
-        result = FaultyBatchSimulator(
+        result = DegradedBatchSimulator(
             total, get_policy("fcfs"), node_mtbf_seconds=mtbf,
             repair_seconds=repair, streams=RandomStreams(0)).run(jobs)
         assert result.failures == 1
@@ -211,7 +216,7 @@ class TestEdgeCases:
         # completion event (at ``runtime``) fires inside the restarted
         # attempt's window whenever repair < 5000.
         job = Job(0, 0.0, nodes=1, runtime=runtime, estimate=runtime)
-        result = FaultyBatchSimulator(
+        result = DegradedBatchSimulator(
             total, get_policy("fcfs"), node_mtbf_seconds=mtbf,
             repair_seconds=repair, streams=RandomStreams(1)).run([job])
         assert result.job_kills == 1
@@ -228,7 +233,7 @@ class TestDegradedScheduling:
         pseudo-job repair representation)."""
         jobs = workload(count=100, nodes=32)
         for policy in ("fcfs", "easy", "conservative", "sjf"):
-            result = FaultyBatchSimulator(
+            result = DegradedBatchSimulator(
                 32, get_policy(policy), node_mtbf_seconds=0.05 * YEAR,
                 repair_seconds=7200.0,
                 streams=RandomStreams(29)).run(jobs)
@@ -239,7 +244,7 @@ class TestDegradedScheduling:
         rather than deadlock or overcommit."""
         jobs = [Job(0, 0.0, nodes=8, runtime=5000.0, estimate=5000.0),
                 Job(1, 100.0, nodes=8, runtime=5000.0, estimate=5000.0)]
-        result = FaultyBatchSimulator(
+        result = DegradedBatchSimulator(
             8, get_policy("easy"), node_mtbf_seconds=8 * 2000.0,
             repair_seconds=3600.0, checkpoint_interval=500.0,
             streams=RandomStreams(31)).run(jobs)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, RecordingTracer, Simulator
+from repro.sim import DetSanRecorder, Interrupt, Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -44,8 +44,8 @@ class TestClock:
 class TestDeterminism:
     def test_same_seed_same_trace(self):
         def build():
-            tracer = RecordingTracer()
-            sim = Simulator(tracer=tracer)
+            recorder = DetSanRecorder(keep_records=True)
+            sim = Simulator(detsan=recorder)
 
             def worker(sim, name, delay):
                 yield sim.timeout(delay)
@@ -54,7 +54,7 @@ class TestDeterminism:
             for i in range(20):
                 sim.process(worker(sim, f"w{i}", (i % 5) * 0.5), name=f"w{i}")
             sim.run()
-            return [(r.time, r.name) for r in tracer.records]
+            return [(r.time, r.name) for r in recorder.records]
 
         assert build() == build()
 
@@ -234,23 +234,29 @@ class TestInterrupt:
         assert victim.value == ["first", "second"]
 
 
-class TestTracer:
+class TestEventRecords:
+    """The per-event log a DetSan recorder keeps: one record per
+    delivery, in ``(time, priority, sequence)`` order."""
+
     def test_records_event_stream(self):
-        tracer = RecordingTracer()
-        sim = Simulator(tracer=tracer)
+        recorder = DetSanRecorder(keep_records=True)
+        sim = Simulator(detsan=recorder)
 
         def body(sim):
             yield sim.timeout(1.0)
+            yield sim.timeout(0.5)
 
         sim.process(body(sim), name="traced")
-        sim.run()
-        assert any("timeout" in name for name in tracer.names())
-        assert all(r.time >= 0 for r in tracer.records)
-
-    def test_limit_respected(self):
-        tracer = RecordingTracer(limit=5)
-        sim = Simulator(tracer=tracer)
-        for _ in range(50):
+        for _ in range(3):
             sim.timeout(1.0)
         sim.run()
-        assert len(tracer.records) == 5
+        records = recorder.records
+        assert len(records) == sim.events_executed
+        assert [r.index for r in records] == list(range(len(records)))
+        assert any("timeout" in r.name for r in records)
+        assert all(r.time >= 0 for r in records)
+        keys = [(r.time, r.priority, r.sequence) for r in records]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        # The sleeper's start and both wake-ups are attributed to it.
+        assert [r.time for r in records if r.processes == ("traced",)] \
+            == [0.0, 1.0, 1.5]

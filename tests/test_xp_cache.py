@@ -379,6 +379,27 @@ class TestRegistry:
             digest = code_fingerprint(spec.code_roots, src)
             assert len(digest) == 64
 
+    def test_e15_closure_reaches_its_simulator(self):
+        """E15's points run the degraded batch simulator, which its
+        scheduler root never imports.  The closure reaches it today only
+        through the top-level package's re-exports, so it is named as a
+        root: an edit to it must invalidate E15's cache entries even if
+        those re-exports change."""
+        import inspect
+
+        from repro.health import DegradedBatchSimulator
+        from repro.xp import get_experiments
+        from repro.xp.fingerprint import default_src_root
+
+        src = default_src_root()
+        (spec,) = get_experiments(["e15_fault_aware_operation"])
+        closure = import_closure([src / root for root in spec.code_roots],
+                                 src)
+        module = Path(inspect.getsourcefile(DegradedBatchSimulator))
+        rel = module.resolve().relative_to(src).as_posix()
+        assert rel in spec.code_roots
+        assert rel in closure
+
     def test_perf_engine_point_runs(self):
         from repro.xp.experiments import perf_engine_run
 
