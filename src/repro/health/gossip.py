@@ -36,6 +36,12 @@ Update precedence is Serf-style: a higher incarnation wins outright, and
 ties go to the graver status (dead > suspect > alive), so a restored
 node rejoins by announcing a fresh incarnation.
 
+Only the probe *loops* are processes.  A probe round, its legs and a
+suspicion timer are callback operations that start where a spawned
+process's first step would run (:meth:`~repro.sim.engine.Simulator.hop`)
+and send through :meth:`~repro.network.fabric.Fabric.start_transfer`,
+so every timer, draw and verdict keeps its place in the event order.
+
 Determinism: all randomness comes from per-node named
 :class:`~repro.sim.rng.RandomStreams` streams (``health.gossip.n<i>``),
 updates are applied in the (deterministic) simulator event order, and
@@ -75,11 +81,7 @@ from repro.health.monitor import (
     MembershipMonitor,
 )
 from repro.health.state import HealthEvent, NodeHealthState
-from repro.network.fabric import (
-    Fabric,
-    NetworkUnreachable,
-    TransferDropped,
-)
+from repro.network.fabric import Fabric
 from repro.obs import Observability
 from repro.sim.engine import Interrupt, Process, Simulator
 from repro.sim.event import Event
@@ -181,7 +183,7 @@ class GossipMonitor(MembershipMonitor):
         self._views: List[Dict[int, Tuple[GossipStatus, int]]] = [
             {} for _ in range(nodes)]
         #: Per-node dissemination queue: subject -> [status, inc, left].
-        self._queues: List[Dict[int, List[int]]] = [
+        self._queues: List[Dict[int, List[Any]]] = [
             {} for _ in range(nodes)]
         #: Each node's own incarnation number (bumped to refute).
         self._incarnation: List[int] = [0] * nodes
@@ -195,6 +197,9 @@ class GossipMonitor(MembershipMonitor):
         self._rngs: Dict[int, Any] = {}
         self._probers: Dict[int, Process] = {}
         self._slot_driver: Optional[Process] = None
+        #: Bumped by :meth:`stop`: probe rounds and suspicion timers
+        #: started before it see a stale generation and end.
+        self._generation = 0
         self._slot_nodes: List[List[int]] = []
         slots = self.spec.heartbeat_slots
         if slots is not None:
@@ -204,7 +209,7 @@ class GossipMonitor(MembershipMonitor):
         #: In-flight dissemination tracking: update key -> (created_at,
         #: appliers).  Only created (rare) updates are tracked, so the
         #: steady state costs nothing.
-        self._spread: Dict[Tuple[int, int, int],
+        self._spread: Dict[Tuple[int, GossipStatus, int],
                            Tuple[float, Set[int]]] = {}
         self._spread_goal = max(2, nodes // 2)
         self.probes = 0
@@ -233,14 +238,17 @@ class GossipMonitor(MembershipMonitor):
                 self._slot_driver_body(), name="gs.slots")
 
     def stop(self) -> None:
-        """Interrupt every live prober (clean shutdown so open spans
-        close and the queue can quiesce)."""
+        """End the protocol: interrupt every live prober and end the
+        probe rounds and suspicion timers already running, so no verdict
+        follows a stop.  Messages already on the wire still finish on
+        the fabric and count as delivered or lost."""
         for process in self._probers.values():
             if process.is_alive:
                 process.interrupt("monitor-stop")
         if self._slot_driver is not None and self._slot_driver.is_alive:
             self._slot_driver.interrupt("monitor-stop")
         self._probing.clear()
+        self._generation += 1
 
     # -- supervisor surface ------------------------------------------------
 
@@ -380,16 +388,15 @@ class GossipMonitor(MembershipMonitor):
         except Interrupt:
             return
 
-    def _launch_probe(self, node: int) -> None:
+    def _launch_probe(self, node: int) -> Optional[_ProbeRound]:
         """Start one probe round for ``node`` (no-op with no target)."""
         if node in self._crashed:
-            return
+            return None
         target = self._next_target(node)
         if target is None:
-            return
+            return None
         self.probes += 1
-        self.sim.process(self._probe_body(node, target),
-                         name=f"gs.probe{node}")
+        return _ProbeRound(self, node, target)
 
     # -- target selection --------------------------------------------------
 
@@ -463,103 +470,6 @@ class GossipMonitor(MembershipMonitor):
             chosen.append(relay)
         return chosen
 
-    # -- the probe round ---------------------------------------------------
-
-    def _probe_body(self, node: int,
-                    target: int) -> Generator[Event, Any, None]:
-        """Process body: one full SWIM probe round (direct ping, then k
-        indirect relays, then the suspicion verdict at period end)."""
-        spec = self.spec
-        direct_deadline = spec.effective_probe_timeout
-        state: Dict[str, bool] = {"acked": False}
-        self.sim.process(self._direct_leg(node, target, state),
-                         name=f"gs.ping{node}")
-        yield self.sim.timeout(direct_deadline)
-        if state["acked"] or node in self._crashed:
-            return
-        for relay in self._pick_relays(node, target):
-            self.indirect_probes += 1
-            self.sim.process(self._indirect_leg(node, relay, target, state),
-                             name=f"gs.req{node}")
-        yield self.sim.timeout(
-            max(spec.heartbeat_interval - direct_deadline, 0.0))
-        if state["acked"] or node in self._crashed:
-            return
-        self.probe_timeouts += 1
-        self._suspect(node, target)
-
-    def _transmit(self, src: int, dst: int,
-                  updates: int) -> Generator[Event, Any, bool]:
-        """Process body fragment: one protocol message on the fabric.
-
-        Returns True when the last byte reached ``dst``; loss and
-        unreachability are swallowed into the counters exactly like
-        lost heartbeats (the protocol's whole job is surviving them).
-        """
-        nbytes = (self.spec.heartbeat_bytes
-                  + updates * self.spec.bytes_per_update)
-        self.heartbeats_sent += 1
-        self.bytes_sent_by[src] += nbytes
-        try:
-            yield from self.fabric.transfer(src, dst, nbytes)
-        except (TransferDropped, NetworkUnreachable):
-            self.heartbeats_lost += 1
-            return False
-        self.heartbeats_delivered += 1
-        self.bytes_received_by[dst] += nbytes
-        return True
-
-    def _direct_leg(self, node: int, target: int,
-                    state: Dict[str, bool]) -> Generator[Event, Any, None]:
-        """Process body: ping ``node`` -> ``target``, ack back, both
-        carrying piggybacked updates."""
-        updates = self._select_updates(node)
-        delivered = yield from self._transmit(node, target, len(updates))
-        if not delivered or target in self._crashed:
-            return
-        self._deliver(target, updates)
-        ack = self._select_updates(target)
-        delivered = yield from self._transmit(target, node, len(ack))
-        if not delivered or node in self._crashed:
-            return
-        self._deliver(node, ack)
-        # A completed round trip is first-hand proof of life at the
-        # target's current incarnation (implicit in every real ack).
-        self._apply_update(node, target, GossipStatus.ALIVE,
-                           self._incarnation[target])
-        state["acked"] = True
-
-    def _indirect_leg(self, node: int, relay: int, target: int,
-                      state: Dict[str, bool]
-                      ) -> Generator[Event, Any, None]:
-        """Process body: the four-hop ping-req chain
-        ``node -> relay -> target -> relay -> node``, each hop carrying
-        the sender's piggyback — per-link routing diversity for the
-        probe verdict."""
-        updates = self._select_updates(node)
-        delivered = yield from self._transmit(node, relay, len(updates))
-        if not delivered or relay in self._crashed:
-            return
-        self._deliver(relay, updates)
-        updates = self._select_updates(relay)
-        delivered = yield from self._transmit(relay, target, len(updates))
-        if not delivered or target in self._crashed:
-            return
-        self._deliver(target, updates)
-        updates = self._select_updates(target)
-        delivered = yield from self._transmit(target, relay, len(updates))
-        if not delivered or relay in self._crashed:
-            return
-        self._deliver(relay, updates)
-        updates = self._select_updates(relay)
-        delivered = yield from self._transmit(relay, node, len(updates))
-        if not delivered or node in self._crashed:
-            return
-        self._deliver(node, updates)
-        self._apply_update(node, target, GossipStatus.ALIVE,
-                           self._incarnation[target])
-        state["acked"] = True
-
     # -- update plumbing ---------------------------------------------------
 
     def _select_updates(self, node: int
@@ -575,8 +485,7 @@ class GossipMonitor(MembershipMonitor):
         picked = order[:self.spec.piggyback_limit]
         selected: List[Tuple[int, GossipStatus, int]] = []
         for subject, entry in picked:
-            selected.append(
-                (subject, GossipStatus(entry[0]), entry[1]))
+            selected.append((subject, entry[0], entry[1]))
             entry[2] -= 1
             if entry[2] <= 0:
                 del queue[subject]
@@ -615,15 +524,16 @@ class GossipMonitor(MembershipMonitor):
             return
         view[subject] = (status, incarnation)
         self._queues[node][subject] = [
-            int(status), incarnation, self.retransmit_budget]
-        record = self._spread.get((subject, int(status), incarnation))
+            status, incarnation, self.retransmit_budget]
+        key = (subject, status, incarnation)
+        record = self._spread.get(key)
         if record is not None:
             created_at, appliers = record
             appliers.add(node)
             if len(appliers) >= self._spread_goal:
                 self.dissemination_half_seconds.append(
                     self.sim.now - created_at)
-                del self._spread[(subject, int(status), incarnation)]
+                del self._spread[key]
 
     def _create_update(self, origin: int, subject: int,
                        status: GossipStatus, incarnation: int) -> None:
@@ -635,8 +545,8 @@ class GossipMonitor(MembershipMonitor):
         if _wins(status, incarnation, view.get(subject, _FRESH)):
             view[subject] = (status, incarnation)
         self._queues[origin][subject] = [
-            int(status), incarnation, self.retransmit_budget]
-        key = (subject, int(status), incarnation)
+            status, incarnation, self.retransmit_budget]
+        key = (subject, status, incarnation)
         if key not in self._spread and self._spread_goal <= self.nodes:
             self._spread[key] = (self.sim.now, {origin})
         if _wins(status, incarnation, self._winning.get(subject, _FRESH)):
@@ -660,26 +570,7 @@ class GossipMonitor(MembershipMonitor):
             obs.metrics.counter("health.gossip.suspicions").inc()
         self._create_update(node, target, GossipStatus.SUSPECT,
                             incarnation)
-        self.sim.process(
-            self._suspicion_timer_body(node, target, incarnation),
-            name=f"gs.sus{node}")
-
-    def _suspicion_timer_body(self, node: int, target: int,
-                              incarnation: int
-                              ) -> Generator[Event, Any, None]:
-        """Process body: the suspicion clock.  Expires into a death
-        assertion unless the suspicion was refuted (overridden in
-        ``node``'s view) first."""
-        try:
-            yield self.sim.timeout(self.spec.effective_dead_after)
-        except Interrupt:
-            return
-        if node in self._crashed:
-            return
-        entry = self._views[node].get(target)
-        if entry is None or entry != (GossipStatus.SUSPECT, incarnation):
-            return
-        self._create_update(node, target, GossipStatus.DEAD, incarnation)
+        _SuspicionTimer(self, node, target, incarnation)
 
     def _aggregate_transition(self, origin: int, subject: int,
                               status: GossipStatus) -> None:
@@ -727,3 +618,183 @@ def build_monitor(sim: Simulator, fabric: Fabric, nodes: int,
         return GossipMonitor(sim, fabric, nodes, spec=spec,
                              streams=streams)
     return HeartbeatMonitor(sim, fabric, nodes, spec=spec)
+
+
+class _ProbeRound:
+    """One SWIM probe round of ``node`` against ``target``, as callbacks.
+
+    Starts where a spawned process's first step would run
+    (:meth:`~repro.sim.engine.Simulator.hop`) with the direct leg; at
+    the probe timeout, unacknowledged, sends one indirect leg per relay;
+    at the period's end, still unacknowledged, suspects the target.
+    A round started before :meth:`GossipMonitor.stop` takes no further
+    step.  Only the events carrying its steps and its legs hold it.
+    """
+
+    __slots__ = ("monitor", "node", "target", "acked", "generation",
+                 "track", "__weakref__")
+
+    def __init__(self, monitor: GossipMonitor, node: int,
+                 target: int) -> None:
+        self.monitor = monitor
+        self.node = node
+        self.target = target
+        self.acked = False
+        self.generation = monitor._generation
+        sim = monitor.sim
+        self.track = (sim.obs.unique_track(f"gs.probe{node}")
+                      if sim._obs_enabled else None)
+        sim.hop(self._begin)
+
+    def _begin(self, _event: Event) -> None:
+        monitor = self.monitor
+        if self.generation != monitor._generation:
+            return
+        _Leg(self, (self.node, self.target, self.node), "gs.ping")
+        monitor.sim.timeout(monitor.spec.effective_probe_timeout
+                            ).add_callback(self._probe_timeout)
+
+    def _probe_timeout(self, _event: Event) -> None:
+        """No ack by the probe timeout: ask ``k`` relays."""
+        monitor = self.monitor
+        node = self.node
+        if (self.generation != monitor._generation or self.acked
+                or node in monitor._crashed):
+            return
+        for relay in monitor._pick_relays(node, self.target):
+            monitor.indirect_probes += 1
+            _Leg(self, (node, relay, self.target, relay, node), "gs.req")
+        spec = monitor.spec
+        monitor.sim.timeout(max(
+            spec.heartbeat_interval - spec.effective_probe_timeout, 0.0)
+        ).add_callback(self._period_end)
+
+    def _period_end(self, _event: Event) -> None:
+        """No ack by the period's end: suspect the target."""
+        monitor = self.monitor
+        if (self.generation != monitor._generation or self.acked
+                or self.node in monitor._crashed):
+            return
+        monitor.probe_timeouts += 1
+        if self.track is not None:
+            monitor.sim.obs.set_track(self.track)
+        monitor._suspect(self.node, self.target)
+
+
+class _Leg:
+    """One leg of a probe round: a message per hop along ``path``.
+
+    ``(node, target, node)`` is the ping and its ack, ``(node, relay,
+    target, relay, node)`` the ping-req chain.  Each message carries its
+    sender's piggyback; a loss or a crashed receiver ends the leg, and
+    landing back at the prober acknowledges the round.  The first
+    message starts in a hop slot, each later one in the previous
+    message's landing callback.
+    """
+
+    __slots__ = ("probe", "path", "index", "updates", "nbytes", "track")
+
+    def __init__(self, probe: _ProbeRound, path: Tuple[int, ...],
+                 name: str) -> None:
+        self.probe = probe
+        self.path = path
+        #: The sender's position in ``path`` for the message in flight.
+        self.index = 0
+        self.updates: List[Tuple[int, GossipStatus, int]] = []
+        self.nbytes = 0
+        sim = probe.monitor.sim
+        self.track = (sim.obs.unique_track(f"{name}{probe.node}")
+                      if sim._obs_enabled else None)
+        sim.hop(self._send)
+
+    def _send(self, _event: Event) -> None:
+        """Send the message from ``path[index]`` to the next hop."""
+        probe = self.probe
+        monitor = probe.monitor
+        if probe.generation != monitor._generation:
+            return
+        if self.track is not None:
+            monitor.sim.obs.set_track(self.track)
+        src = self.path[self.index]
+        updates = monitor._select_updates(src)
+        spec = monitor.spec
+        nbytes = spec.heartbeat_bytes + len(updates) * spec.bytes_per_update
+        monitor.heartbeats_sent += 1
+        monitor.bytes_sent_by[src] += nbytes
+        self.updates = updates
+        self.nbytes = nbytes
+        monitor.fabric.start_transfer(src, self.path[self.index + 1],
+                                      nbytes, self._landed)
+
+    def _landed(self, transfer: Any) -> None:
+        """Count the message; deliver its piggyback and go on."""
+        probe = self.probe
+        monitor = probe.monitor
+        if transfer.error is not None:
+            monitor.heartbeats_lost += 1
+            return
+        index = self.index + 1
+        dst = self.path[index]
+        monitor.heartbeats_delivered += 1
+        monitor.bytes_received_by[dst] += self.nbytes
+        if (probe.generation != monitor._generation
+                or dst in monitor._crashed):
+            return
+        if self.track is not None:
+            monitor.sim.obs.set_track(self.track)
+        monitor._deliver(dst, self.updates)
+        if index < len(self.path) - 1:
+            self.index = index
+            self._send(transfer)
+            return
+        # A completed round trip is first-hand proof of life at the
+        # target's current incarnation (implicit in every real ack).
+        target = probe.target
+        monitor._apply_update(probe.node, target, GossipStatus.ALIVE,
+                              monitor._incarnation[target])
+        probe.acked = True
+
+
+class _SuspicionTimer:
+    """The suspicion clock of ``node`` on ``target``.
+
+    Arms in a hop slot and expires ``effective_dead_after`` later into a
+    death assertion, unless the suspicion was refuted (overridden in
+    ``node``'s view), ``node`` crashed, or the monitor stopped.
+    """
+
+    __slots__ = ("monitor", "node", "target", "incarnation", "generation",
+                 "track")
+
+    def __init__(self, monitor: GossipMonitor, node: int, target: int,
+                 incarnation: int) -> None:
+        self.monitor = monitor
+        self.node = node
+        self.target = target
+        self.incarnation = incarnation
+        self.generation = monitor._generation
+        sim = monitor.sim
+        self.track = (sim.obs.unique_track(f"gs.sus{node}")
+                      if sim._obs_enabled else None)
+        sim.hop(self._arm)
+
+    def _arm(self, _event: Event) -> None:
+        monitor = self.monitor
+        if self.generation == monitor._generation:
+            monitor.sim.timeout(monitor.spec.effective_dead_after
+                                ).add_callback(self._expire)
+
+    def _expire(self, _event: Event) -> None:
+        monitor = self.monitor
+        node = self.node
+        if (self.generation != monitor._generation
+                or node in monitor._crashed):
+            return
+        entry = monitor._views[node].get(self.target)
+        if entry is None or entry != (GossipStatus.SUSPECT,
+                                      self.incarnation):
+            return
+        if self.track is not None:
+            monitor.sim.obs.set_track(self.track)
+        monitor._create_update(node, self.target, GossipStatus.DEAD,
+                               self.incarnation)

@@ -1,14 +1,15 @@
 """The heartbeat monitor: failure detection *through the fabric*.
 
-One sender process per node emits a small heartbeat transfer to the
-monitor host every ``heartbeat_interval`` seconds — through the same
-:class:`~repro.network.fabric.Fabric` the application uses, so link
-outages, congestion, drops, and partitions delay or lose heartbeats
-exactly as they would real ones.  A periodic checker polls the pluggable
-:class:`~repro.health.detectors.FailureDetector` and drives the
-:class:`~repro.health.state.Membership` state machine: silence earns
-``SUSPECTED``, prolonged silence ``DEAD``, resumed heartbeats refute a
-suspicion back to ``HEALTHY``.
+One sender process per node (or one slot driver for the fleet) emits a
+small heartbeat transfer to the monitor host every ``heartbeat_interval``
+seconds — through the same :class:`~repro.network.fabric.Fabric` the
+application uses, so link outages, congestion, drops, and partitions
+delay or lose heartbeats exactly as they would real ones (each beat is
+a callback operation, see :class:`_Beat`).  A periodic checker polls
+the pluggable :class:`~repro.health.detectors.FailureDetector` and
+drives the :class:`~repro.health.state.Membership` state machine:
+silence earns ``SUSPECTED``, prolonged silence ``DEAD``, resumed
+heartbeats refute a suspicion back to ``HEALTHY``.
 
 Crucially the monitor has **no oracle**: when a partition silences a
 live node, the node is *falsely* suspected (and, if the partition
@@ -34,11 +35,7 @@ from repro.health.detectors import (
     Verdict,
 )
 from repro.health.state import HealthEvent, Membership, NodeHealthState
-from repro.network.fabric import (
-    Fabric,
-    NetworkUnreachable,
-    TransferDropped,
-)
+from repro.network.fabric import Fabric
 from repro.obs import Observability
 from repro.sim.engine import Interrupt, Process, Simulator
 from repro.sim.event import Event
@@ -278,7 +275,7 @@ class MembershipMonitor:
         raise NotImplementedError
 
     def stop(self) -> None:
-        """Interrupt every live detector process (clean shutdown)."""
+        """Shut the protocol down: no verdict follows a stop."""
         raise NotImplementedError
 
     # -- supervisor surface ------------------------------------------------
@@ -517,8 +514,7 @@ class HeartbeatMonitor(MembershipMonitor):
             yield self.sim.timeout(phase)
             while True:
                 self.heartbeats_sent += 1
-                self.sim.process(self._beat_body(node),
-                                 name=f"hb{node}")
+                _Beat(self, node)
                 yield self.sim.timeout(interval)
         except Interrupt:
             return
@@ -530,10 +526,10 @@ class HeartbeatMonitor(MembershipMonitor):
         ticks; every tick emits the heartbeats of all live nodes assigned
         to that slot.  The engine therefore services S timer events per
         interval (vs one timeout *and one sender process* per node in
-        legacy mode), and each tick's beats land on the calendar queue as
-        one same-instant batch.  Slot targets are recomputed from the
-        cycle index every interval (not accumulated), so float error does
-        not drift the schedule.
+        legacy mode), and each tick's beats start in one shared hop
+        batch.  Slot targets are recomputed from the cycle index every
+        interval (not accumulated), so float error does not drift the
+        schedule.
         """
         interval = self.spec.heartbeat_interval
         slots = self.spec.heartbeat_slots
@@ -554,26 +550,10 @@ class HeartbeatMonitor(MembershipMonitor):
                     for node in slot_nodes[s]:
                         if node in beating:
                             self.heartbeats_sent += 1
-                            self.sim.process(self._beat_body(node),
-                                             name=f"hb{node}")
+                            _Beat(self, node)
                 cycle += 1
         except Interrupt:
             return
-
-    def _beat_body(self, node: int) -> Generator[Event, Any, None]:
-        """Process body: one heartbeat transfer node -> monitor host.
-
-        Spawned detached so a crash mid-flight cannot leak fabric
-        resources (the in-flight packet completes or is lost on its
-        own, exactly like application traffic)."""
-        try:
-            yield from self.fabric.transfer(node, self.spec.monitor_host,
-                                            self.spec.heartbeat_bytes)
-        except (TransferDropped, NetworkUnreachable):
-            self.heartbeats_lost += 1
-            return
-        self.heartbeats_delivered += 1
-        self.detector.observe(node, self.sim.now)
 
     def _check_body(self) -> Generator[Event, Any, None]:
         """Process body: poll the detector and drive the state machine."""
@@ -608,3 +588,40 @@ class HeartbeatMonitor(MembershipMonitor):
         if verdict is Verdict.DEAD:
             self._transition(node, NodeHealthState.DEAD, "silence-confirmed")
             self._declare_death(node, now)
+
+
+class _Beat:
+    """One heartbeat ``node -> monitor host``, as callbacks.
+
+    Starts where a spawned process's first step would run
+    (:meth:`~repro.sim.engine.Simulator.hop`); its landing callback
+    counts it and feeds the detector.  A crash or a stop leaves the
+    packet to land or be lost on its own, like application traffic.
+    With observability on, its span goes on an ``hb<node>`` track.
+    """
+
+    __slots__ = ("monitor", "node", "track", "__weakref__")
+
+    def __init__(self, monitor: HeartbeatMonitor, node: int) -> None:
+        self.monitor = monitor
+        self.node = node
+        sim = monitor.sim
+        self.track = (sim.obs.unique_track(f"hb{node}")
+                      if sim._obs_enabled else None)
+        sim.hop(self._send)
+
+    def _send(self, _event: Event) -> None:
+        monitor = self.monitor
+        if self.track is not None:
+            monitor.sim.obs.set_track(self.track)
+        spec = monitor.spec
+        monitor.fabric.start_transfer(self.node, spec.monitor_host,
+                                      spec.heartbeat_bytes, self._landed)
+
+    def _landed(self, transfer: Any) -> None:
+        monitor = self.monitor
+        if transfer.error is not None:
+            monitor.heartbeats_lost += 1
+            return
+        monitor.heartbeats_delivered += 1
+        monitor.detector.observe(self.node, monitor.sim.now)

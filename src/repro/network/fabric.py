@@ -3,7 +3,9 @@
 A :class:`Fabric` binds a topology to an interconnect technology inside a
 simulator.  :meth:`Fabric.transfer` and :meth:`Fabric.transfer_ex` are
 *process bodies* (generators): the messaging layer delegates to them
-with ``yield from``.
+with ``yield from``.  :meth:`Fabric.start_transfer` is the callback
+entry point for senders that are not processes (detector messages):
+the same transfer, with a callback run where the process would resume.
 
 Cost model for one ``n``-byte transfer along a ``h``-hop route::
 
@@ -15,10 +17,11 @@ Cost model for one ``n``-byte transfer along a ``h``-hop route::
     release; in-flight / blackhole / random loss checks
     L + (h - 1) * hop_latency + o_recv      (wire, switches, receiver CPU)
 
-Both methods run one operation: the steps above as a chain of callbacks
-on the events a generator body would have waited on, with the owner
-resuming once, when the transfer completes or fails.  Without a fault
-plan the checks are no-ops.
+All three entry points validate and construct the same operation: the
+steps above as a chain of callbacks on the events a generator body
+would have waited on, with the owner resuming (or its callback running)
+once, when the transfer completes or fails.  Without a fault plan the
+checks are no-ops.
 
 Contention: while serializing, the transfer holds a capacity-1
 :class:`~repro.sim.resources.Resource` per link on its route plus the
@@ -30,7 +33,7 @@ explicit, ablatable modelling choice (bench E13 runs it both ways via
 ``contention=False``).  A free resource is granted as a *hop*: the next
 round runs in the FIFO slot a grant event would take, and consecutive
 same-instant hops share one engine event (see
-:meth:`repro.sim.Completion.hop`).  An owner interrupted or closed
+:meth:`repro.sim.Simulator.hop`).  An owner interrupted or closed
 mid-transfer releases what it holds and withdraws a queued grant.
 
 Per-transfer state is sized by the topology, not by traffic history.
@@ -48,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Generator,
@@ -350,27 +354,46 @@ class Fabric:
         """
         return (yield from self._transfer(src, dst, nbytes, True))
 
-    def _transfer(self, src: int, dst: int, nbytes: int,
-                  outcome: bool) -> Generator[Any, Any, Any]:
-        """The one transfer path: validate, then run a :class:`_Transfer`
-        inside the owner's span; an interrupt or close aborts it."""
+    def start_transfer(self, src: int, dst: int, nbytes: int,
+                       done: Callable[[_Transfer], None]) -> _Transfer:
+        """Callback entry point: start :meth:`transfer` now, no process.
+
+        ``done(op)`` runs at the instant the transfer settles — exactly
+        where a process waiting in :meth:`transfer` would resume — with
+        ``op.error`` ``None`` on delivery (``op.value`` is the end time)
+        or the :class:`TransferDropped` / :class:`NetworkUnreachable` the
+        process would have caught.  Same validation, cost model and
+        ``fabric.transfer`` span as :meth:`transfer`, on the caller's
+        current span track.
+        """
+        op = self._start(src, dst, nbytes, False)
+        op.add_callback(done)
+        return op
+
+    def _start(self, src: int, dst: int, nbytes: int,
+               outcome: bool) -> _Transfer:
+        """The one transfer path: validate, then start a :class:`_Transfer`."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if not 0 <= src < self.topology.hosts:
             raise IndexError(f"src {src} out of range")
         if not 0 <= dst < self.topology.hosts:
             raise IndexError(f"dst {dst} out of range")
-        with self.sim.obs.span("fabric.transfer", src=src, dst=dst,
-                               nbytes=nbytes):
-            op = _Transfer(self, src, dst, nbytes, outcome)
-            try:
-                value = yield op
-            except BaseException:  # repro: noqa[REP010] - abort, re-raise
-                op.abort()
-                raise
-            if op.error is not None:
-                raise op.error
-            return value
+        return _Transfer(self, src, dst, nbytes, outcome)
+
+    def _transfer(self, src: int, dst: int, nbytes: int,
+                  outcome: bool) -> Generator[Any, Any, Any]:
+        """Run one :class:`_Transfer` for the owner process; an interrupt
+        or close aborts it."""
+        op = self._start(src, dst, nbytes, outcome)
+        try:
+            value = yield op
+        except BaseException:  # repro: noqa[REP010] - abort, re-raise
+            op.abort()
+            raise
+        if op.error is not None:
+            raise op.error
+        return value
 
     @staticmethod
     def _blocked(route: List[Edge], down_nodes: FrozenSet[Node],
@@ -444,18 +467,22 @@ class _Transfer(Completion):
     the same order — circuit setup, overhead, route and fault check,
     one FIFO round per NIC and link grant, serialization, release and
     loss checks, propagation — and the owner, which yields the transfer
-    itself, resumes once, when it settles.
+    itself (or registered a callback), resumes once, when it settles.
+    The ``fabric.transfer`` span opens with the transfer and closes as
+    it settles or aborts, ``"error"`` unless it was delivered.
     """
 
     __slots__ = ("fabric", "src", "dst", "nbytes", "outcome",
-                 "start", "track", "route", "rerouted", "corrupted",
-                 "depart", "serialization", "held", "granted", "queued",
-                 "stopped", "error")
+                 "start", "track", "span", "route", "rerouted",
+                 "corrupted", "depart", "serialization", "held", "granted",
+                 "queued", "stopped", "error")
 
     def __init__(self, fabric: Fabric, src: int, dst: int, nbytes: int,
                  outcome: bool) -> None:
         sim = fabric.sim
         super().__init__(sim, "fabric.transfer")
+        self.span = sim.obs.span("fabric.transfer", src=src, dst=dst,
+                                 nbytes=nbytes)
         self.fabric = fabric
         self.src = src
         self.dst = dst
@@ -638,6 +665,7 @@ class _Transfer(Completion):
         fabric = self.fabric
         hops = len(self.route)
         fabric._finish(self.src, self.dst, self.nbytes, self.start, hops)
+        self.span.close()
         now = fabric.sim.now
         if self.outcome:
             self.settle(TransferOutcome(
@@ -648,6 +676,7 @@ class _Transfer(Completion):
 
     def _fail(self, error: Exception) -> None:
         self.error = error
+        self.span.close("error")
         self.settle(None)
 
     def abort(self) -> None:
@@ -672,3 +701,4 @@ class _Transfer(Completion):
         self.held = []
         self.granted = 0
         self.queued = None
+        self.span.close("error")

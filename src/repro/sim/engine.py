@@ -329,8 +329,8 @@ class Simulator:
             self.obs.bind_clock(lambda: self._now)
         self._detsan = detsan
         self._event_count = 0
-        # The open hop batch (see Completion.hop): joinable while its
-        # sequence number is still ``_sequence``.
+        # The open hop batch (see hop()): joinable while its sequence
+        # number is still ``_sequence``.
         self._hops: Optional[_HopBatch] = None
         # Plain mode: nothing observes individual deliveries, so run()
         # may use the inlined fast loop and recycle timeout objects.
@@ -416,6 +416,25 @@ class Simulator:
                 name: str = "") -> Process:
         """Register a generator as a process starting at the current time."""
         return Process(self, generator, name)
+
+    def hop(self, callback: Callable[[Event], None]) -> Event:
+        """Call ``callback(batch)`` at this instant, in the FIFO slot a
+        fresh zero-delay event would take; returns the carrying event.
+
+        This is the slot a spawned process's first step runs in, so an
+        operation that starts by hopping runs where a process body would
+        have.  Consecutive hops with no event scheduled between them
+        share one engine event (a *hop batch*): the open batch is joined
+        while its sequence number is still the simulator's counter, which
+        is exactly when a fresh event would have been delivered right
+        after the batch's last hop.  The rule reads only the sequence
+        counter, so both queue implementations coalesce identically.
+        """
+        batch = self._hops
+        if batch is None or batch._seq != self._sequence:
+            batch = _HopBatch(self)
+        batch._calls.append(callback)
+        return batch
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """An event that succeeds when every given event has succeeded."""

@@ -327,21 +327,9 @@ class Completion(Event):
 
     def hop(self, callback: Callable[[Event], None]) -> None:
         """Next step: ``callback(batch)`` at this instant, in the FIFO slot
-        a fresh zero-delay event would take.
-
-        Consecutive hops with no event scheduled between them share one
-        engine event (a *hop batch*): the open batch is joined while its
-        sequence number is still the simulator's counter, which is
-        exactly when a fresh event would have been delivered right after
-        the batch's last hop.  The rule reads only the sequence counter,
-        so both queue implementations coalesce identically.
-        """
-        sim = self.sim
-        batch = sim._hops
-        if batch is None or batch._seq != sim._sequence:
-            batch = _HopBatch(sim)
-        batch._calls.append(callback)
-        self._inflight = batch
+        a fresh zero-delay event would take (see
+        :meth:`~repro.sim.engine.Simulator.hop`)."""
+        self._inflight = self.sim.hop(callback)
 
     def follow(self, event: Event,
                callback: Callable[[Event], None]) -> None:

@@ -94,6 +94,45 @@ class TestHealthyOperation:
         assert monitor.gossip_stats().messages_sent == sent
 
 
+class TestStop:
+    """``stop()`` ends the rounds and timers already running, as the
+    central monitor's ``stop()`` ends its verdicts."""
+
+    @pytest.mark.parametrize("slots", [4, None], ids=["slotted", "per-node"])
+    def test_no_verdict_after_stop(self, slots):
+        # A crash whose suspicion and death would follow the stop: the
+        # round already running must not suspect, the timer must not
+        # expire into a death.
+        sim, monitor = make_gossip(heartbeat_slots=slots)
+        sim.run(until=2 * HB)
+        monitor.crash(3)
+        sim.run(until=6.5 * HB)
+        monitor.stop()
+        suspicions = monitor.suspicions
+        log = monitor.outcome().health_log
+        sim.run(until=sim.now + 20 * HB)
+        assert monitor.suspicions == suspicions
+        assert monitor.deaths == []
+        assert monitor.outcome().health_log == log
+
+    def test_messages_on_the_wire_still_finish(self):
+        sim, monitor = make_gossip(heartbeat_slots=4)
+        sim.run(until=2 * HB)
+        while True:
+            # Step to an instant with a message in flight.
+            stats = monitor.gossip_stats()
+            if stats.messages_sent > (stats.messages_delivered
+                                      + stats.messages_lost):
+                break
+            sim.run(until=sim.now + HB / 64)
+        monitor.stop()
+        sent = stats.messages_sent
+        sim.run(until=sim.now + 10 * HB)
+        stats = monitor.gossip_stats()
+        assert stats.messages_sent == sent  # no ack, no relay, no probe
+        assert stats.messages_delivered + stats.messages_lost == sent
+
+
 class TestCrashLifecycle:
     def test_crash_is_detected_via_suspicion(self):
         sim, monitor = make_gossip()
