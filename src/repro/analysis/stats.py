@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "SummaryStats",
@@ -54,6 +53,9 @@ def summarize(samples: Sequence[float],
         return SummaryStats(mean=mean, std=0.0, count=1,
                             ci_low=mean, ci_high=mean,
                             confidence=confidence)
+    # scipy.stats costs most of ``import repro``; load it on first use.
+    from scipy import stats as _scipy_stats
+
     std = float(values.std(ddof=1))
     halfwidth = (std / np.sqrt(values.size)
                  * _scipy_stats.t.ppf((1 + confidence) / 2.0,

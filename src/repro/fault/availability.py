@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from scipy import stats as _scipy_stats
-
 from repro.health.monitor import DeathRecord
 from repro.health.spares import SparePool
 
@@ -82,6 +80,9 @@ def probability_at_least(usable: int, node_count: int,
         raise ValueError("usable must be non-negative")
     if usable > node_count:
         return 0.0
+    # scipy.stats costs most of ``import repro``; load it on first use.
+    from scipy import stats as _scipy_stats
+
     # P(X >= usable) = survival function at usable - 1.
     return float(_scipy_stats.binom.sf(usable - 1, node_count,
                                        availability))

@@ -113,8 +113,10 @@ class JobLog:
         self.rows: Dict[int, JobRow] = {}
         self.records: List[LogRecord] = []
         self._by_identity: Dict[Tuple[str, str], int] = {}
-        #: FIFO arrival order of (re)queued jobs; filtered by state in
-        #: :meth:`pending`, so it may hold stale entries.
+        #: Grant order: job ids by first submission.  A requeue appends
+        #: the id again, but :meth:`pending` counts only each job's first
+        #: entry (so a requeued job retakes its original slot) and
+        #: filters by state, so the queue may hold stale entries.
         self._queue: List[int] = []
         self._seq = 0
         self._next_job_id = 1
@@ -364,7 +366,12 @@ class JobLog:
     # -- queries -----------------------------------------------------------
 
     def pending(self) -> List[int]:
-        """Grantable jobs in FIFO (re)queue order."""
+        """Grantable jobs in first-submission order.
+
+        A requeued job retakes its original slot: only the first queue
+        entry of each job counts, and later duplicate entries are
+        ignored.
+        """
         seen = set()
         out = []
         for job_id in self._queue:
@@ -383,11 +390,12 @@ class JobLog:
                                                JobState.RUNNING)]
 
     def all_terminal(self) -> bool:
-        """True when every known job has closed (and any exist)."""
-        if not self.rows:
-            return False
-        return all(row.state in TERMINAL_STATES
-                   for row in self.rows.values())
+        """True when every known job has closed (and any exist).
+
+        O(1): every row reaches COMPLETED or FAILED exactly once and
+        never leaves, so the closed rows are the two counters' sum."""
+        return bool(self.rows) and (self.completed + self.failed
+                                    == len(self.rows))
 
     @property
     def fencing_rejections(self) -> int:
@@ -521,6 +529,18 @@ class JobLog:
                 pass  # informational; no state change
             else:
                 bad(record, "unknown record kind")
+
+        # Cross-check the close counters (the stop predicate's basis)
+        # against the replay.
+        for name, state, counter in (
+                ("completed", JobState.COMPLETED, self.completed),
+                ("failed", JobState.FAILED, self.failed)):
+            replayed_count = sum(1 for replayed in states.values()
+                                 if replayed is state)
+            if counter != replayed_count:
+                violations.append(
+                    f"{name} counter {counter} != replayed "
+                    f"{replayed_count} {state.value} job(s)")
 
         # Cross-check the materialized rows against the replay.
         for job_id in sorted(self.rows):
